@@ -319,9 +319,12 @@ pub fn run(seed: u64, iters: usize) -> ChaosReport {
                     // The spill path plans exactly and simulates
                     // without device faults; its chaos surface is the
                     // host side (shard writes, corruption, re-reads).
+                    // The tag names the spill directory: seed and
+                    // iteration keep concurrent sweeps in one process
+                    // off each other's shards.
                     (
                         "spill",
-                        run_spill(&cfg, &a, &format!("{iter}_{fname}_{bname}")),
+                        run_spill(&cfg, &a, &format!("{seed}_{iter}_{fname}_{bname}")),
                     ),
                     ("hybrid", run_hybrid(&cfg, sched, &a)),
                     ("multi", run_multi(&cfg, sched, &a)),

@@ -176,6 +176,17 @@ impl OocConfig {
         self
     }
 
+    /// A copy with the device fault plan, host fault plan and budget
+    /// removed, for runs that simulate the clean device schedule.
+    pub(crate) fn without_faults(&self) -> Self {
+        OocConfig {
+            fault_plan: None,
+            host_faults: None,
+            budget: None,
+            ..self.clone()
+        }
+    }
+
     /// Selects the CPU SpGEMM kernel (see [`CpuKernel`]).
     pub fn cpu_kernel(mut self, kernel: CpuKernel) -> Self {
         self.cpu_kernel = kernel;

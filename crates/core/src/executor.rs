@@ -7,7 +7,7 @@ use crate::faults::{self, HostFaultKind, HostFaultState};
 use crate::metrics::{
     ChunkMetrics, DegradationCause, DegradationEvent, DemotionCause, EstimatorStats, Metrics,
 };
-use crate::pipeline::{simulate_pipeline_recovering, ChunkAttempt, ChunkFailure};
+use crate::pipeline::{ChunkFailure, Footprint, PipelineSession};
 use crate::plan::{split_range_by_flops, PanelPlan, Planner};
 use crate::recovery::{backoff_ns, RecoveryReport};
 use crate::Result;
@@ -261,41 +261,74 @@ pub fn prepare_grid_serial(
     })
 }
 
-/// Simulates the chosen execution mode over an ordered chunk list and
-/// returns the completion time.
-pub(crate) fn simulate_order(
-    sim: &mut GpuSim,
+/// One device's simulated run over an ordered chunk list.
+pub(crate) struct DeviceRun {
+    /// Simulated completion time.
+    pub sim_ns: SimTime,
+    /// The device timeline.
+    pub timeline: Timeline,
+    /// Device metrics, with per-chunk counters and degradations.
+    pub metrics: Metrics,
+    /// What recovery did (all-zero for a fault-free run).
+    pub report: RecoveryReport,
+    /// Results of re-split chunks (see [`RecoveredOutcome`]).
+    pub overrides: HashMap<ChunkId, CsrMatrix>,
+}
+
+/// Builds the device simulator (faulted when `config` carries a fault
+/// plan), runs `order` on it and collects its metrics. Every async run
+/// goes through the pass-based Figure 6 pipeline
+/// ([`simulate_order_recovering`]). Sync mode runs the paper's
+/// Algorithm 3 baseline loop unless faults, host faults or a budget
+/// are installed: recovery needs the pool geometry to reason about what
+/// fits, so supervised sync runs take the pipeline too.
+pub(crate) fn run_device(
+    a: &CsrMatrix,
     pg: &PreparedGrid,
     order: &[ChunkInfo],
     config: &OocConfig,
-) -> Result<SimTime> {
-    // The A panel stays resident while consecutive chunks share it.
-    let transfer_a: Vec<bool> = order
-        .iter()
-        .enumerate()
-        .map(|(i, info)| i == 0 || order[i - 1].id.row != info.id.row)
-        .collect();
-    match config.mode {
-        ExecMode::Sync => {
-            let stream = sim.create_stream();
-            let mut done = sim.now();
-            for (info, &xfer_a) in order.iter().zip(&transfer_a) {
-                done = gpu_spgemm::simulate_sync_chunk(sim, stream, pg.chunk(info.id), xfer_a)?;
-            }
-            Ok(done)
-        }
-        ExecMode::Async => {
-            let refs: Vec<&PreparedChunk> = order.iter().map(|info| pg.chunk(info.id)).collect();
-            crate::pipeline::simulate_pipeline_depth(
-                sim,
-                &refs,
-                &transfer_a,
-                config.split_fraction,
-                config.pinned,
-                config.pipeline_depth,
-            )
-        }
+) -> Result<DeviceRun> {
+    let mut sim = match &config.fault_plan {
+        Some(plan) => GpuSim::with_faults(config.device.clone(), config.cost.clone(), plan.clone()),
+        None => GpuSim::new(config.device.clone(), config.cost.clone()),
+    };
+    let baseline = config.mode == ExecMode::Sync
+        && config.fault_plan.is_none()
+        && config.host_faults.is_none()
+        && config.budget.is_none();
+    if baseline {
+        let sim_ns = simulate_sync(&mut sim, pg, order)?;
+        return Ok(DeviceRun {
+            sim_ns,
+            metrics: Metrics::collect(&sim, sim_ns),
+            timeline: sim.into_timeline(),
+            report: RecoveryReport::default(),
+            overrides: HashMap::new(),
+        });
     }
+    let rec = simulate_order_recovering(&mut sim, a, pg, order, config)?;
+    Ok(DeviceRun {
+        sim_ns: rec.sim_ns,
+        metrics: Metrics::collect(&sim, rec.sim_ns)
+            .with_chunks(rec.chunk_stats)
+            .with_degradations(rec.degradations),
+        timeline: sim.into_timeline(),
+        report: rec.report,
+        overrides: rec.overrides,
+    })
+}
+
+/// The synchronous baseline (Algorithm 3): one stream, per-chunk
+/// device allocations, no overlap. The A panel stays resident while
+/// consecutive chunks share it.
+fn simulate_sync(sim: &mut GpuSim, pg: &PreparedGrid, order: &[ChunkInfo]) -> Result<SimTime> {
+    let stream = sim.create_stream();
+    let mut done = sim.now();
+    for (i, info) in order.iter().enumerate() {
+        let xfer_a = i == 0 || order[i - 1].id.row != info.id.row;
+        done = gpu_spgemm::simulate_sync_chunk(sim, stream, pg.chunk(info.id), xfer_a)?;
+    }
+    Ok(done)
 }
 
 /// What the self-healing orchestration produced: the final simulated
@@ -325,15 +358,27 @@ struct WorkItem {
     source: WorkSource,
 }
 
-/// Self-healing pass-based orchestration, used whenever a fault plan,
-/// host-fault plan, or run budget is installed (both exec modes route
-/// through the pooled async-style schedule — recovery needs the pool
-/// geometry to reason about what fits). Each pass runs the surviving
-/// work list through the recovering pipeline on one persistent
-/// simulator (time accumulates across passes); failed chunks are
-/// re-split along the planner's row-flop prefix sums (OOM) or demoted
-/// to the CPU executor (fault budget exhausted), until the list is
-/// empty.
+impl WorkItem {
+    /// The prepared chunk this item runs: a planned grid chunk or a
+    /// re-split/grown piece in `sub_store`.
+    fn chunk<'a>(&self, pg: &'a PreparedGrid, sub_store: &'a [PreparedChunk]) -> &'a PreparedChunk {
+        match self.source {
+            WorkSource::Orig(id) => pg.chunk(id),
+            WorkSource::Sub(si) => &sub_store[si],
+        }
+    }
+}
+
+/// Self-healing pass-based orchestration: the one schedule of every
+/// async run, and of sync runs with a fault plan, host-fault plan or
+/// run budget (recovery needs the pool geometry to reason about what
+/// fits). Each pass pushes the surviving work list through one
+/// [`PipelineSession`] on one persistent simulator (time accumulates
+/// across passes); failed chunks are re-split along the planner's
+/// row-flop prefix sums (OOM), grown (estimate overflow) or demoted to
+/// the CPU executor (fault budget exhausted), until the list is empty.
+/// A fault-free exact plan completes in one pass, which is exactly the
+/// paper's Figure 6 schedule.
 ///
 /// When a [`crate::recovery::RunBudget`] is installed the pass loop is
 /// supervised: at every pass boundary the budget's degradation rung is
@@ -406,10 +451,7 @@ pub(crate) fn simulate_order_recovering(
                         // estimate overflows can no longer occur.
                         for w in pending.iter_mut() {
                             let grown = {
-                                let p = match w.source {
-                                    WorkSource::Orig(id) => pg.chunk(id),
-                                    WorkSource::Sub(si) => &sub_store[si],
-                                };
+                                let p = w.chunk(pg, &sub_store);
                                 if p.spec.is_none() {
                                     continue;
                                 }
@@ -430,10 +472,7 @@ pub(crate) fn simulate_order_recovering(
                         // the remaining chunks (full symbolic schedule).
                         for w in pending.iter_mut() {
                             let exact = {
-                                let p = match w.source {
-                                    WorkSource::Orig(id) => pg.chunk(id),
-                                    WorkSource::Sub(si) => &sub_store[si],
-                                };
+                                let p = w.chunk(pg, &sub_store);
                                 if p.spec.is_none() {
                                     continue;
                                 }
@@ -461,10 +500,7 @@ pub(crate) fn simulate_order_recovering(
                 // accounting instead of burning more simulated time.
                 let mut cpu_total: SimTime = 0;
                 for w in &pending {
-                    let p = match w.source {
-                        WorkSource::Orig(id) => pg.chunk(id),
-                        WorkSource::Sub(si) => &sub_store[si],
-                    };
+                    let p = w.chunk(pg, &sub_store);
                     cpu_total = cpu_total.saturating_add(config.cpu_chunk_ns(p.flops, p.nnz));
                 }
                 if elapsed.saturating_add(cpu_total) > b.sim_deadline_ns {
@@ -503,10 +539,7 @@ pub(crate) fn simulate_order_recovering(
                         .or_insert_with(|| ChunkMetrics::new(w.parent));
                     s.demotions += 1;
                     s.demotion_cause.get_or_insert(DemotionCause::Deadline);
-                    let p = match w.source {
-                        WorkSource::Orig(id) => pg.chunk(id),
-                        WorkSource::Sub(si) => &sub_store[si],
-                    };
+                    let p = w.chunk(pg, &sub_store);
                     let cpu_ns = config.cpu_chunk_ns(p.flops, p.nnz);
                     if let Some(h) = host.as_mut() {
                         let mut attempt = 0u32;
@@ -545,28 +578,27 @@ pub(crate) fn simulate_order_recovering(
                 .or_insert_with(|| ChunkMetrics::new(w.parent))
                 .attempts += 1;
         }
-        let attempts: Vec<ChunkAttempt<'_>> = pending
+        let max_a_bytes = pending
             .iter()
-            .map(|w| ChunkAttempt {
-                chunk: match w.source {
-                    WorkSource::Orig(id) => pg.chunk(id),
-                    WorkSource::Sub(i) => &sub_store[i],
-                },
-                row: w.parent.row,
-            })
-            .collect();
-        let outcome = simulate_pipeline_recovering(
+            .map(|w| w.chunk(pg, &sub_store).a_bytes)
+            .max()
+            .unwrap_or(0);
+        let mut session = PipelineSession::new(
             sim,
-            &attempts,
-            config.split_fraction,
-            config.pinned,
-            config.pipeline_depth,
-            &policy,
-            &mut report,
+            config,
+            max_a_bytes,
             budget.map(|b| b.demote_after_ns()),
+            &mut report,
         )?;
-        drop(attempts);
-        let failed: HashMap<usize, ChunkFailure> = outcome.failed.into_iter().collect();
+        let mut failed: HashMap<usize, ChunkFailure> = HashMap::new();
+        for (i, w) in pending.iter().enumerate() {
+            if let Err(f) = session.push(w.chunk(pg, &sub_store), w.parent.row, Footprint::Planned)
+            {
+                failed.insert(i, f);
+            }
+        }
+        let pass = session.finish();
+        failed.extend(pass.failed);
 
         let mut next: Vec<WorkItem> = Vec::new();
         for (i, w) in pending.iter().enumerate() {
@@ -647,10 +679,7 @@ pub(crate) fn simulate_order_recovering(
                         "grow chunk ({},{}) rows {}..{} to {} output bytes and retry",
                         w.parent.row, w.parent.col, w.rows.start, w.rows.end, needed
                     ));
-                    let grown = match w.source {
-                        WorkSource::Orig(id) => pg.chunk(id).grown(),
-                        WorkSource::Sub(si) => sub_store[si].grown(),
-                    };
+                    let grown = w.chunk(pg, &sub_store).grown();
                     sub_store.push(grown);
                     next.push(WorkItem {
                         parent: w.parent,
@@ -692,10 +721,7 @@ pub(crate) fn simulate_order_recovering(
                             }
                         });
                     }
-                    let p = match w.source {
-                        WorkSource::Orig(id) => pg.chunk(id),
-                        WorkSource::Sub(si) => &sub_store[si],
-                    };
+                    let p = w.chunk(pg, &sub_store);
                     let cpu_ns = config.cpu_chunk_ns(p.flops, p.nnz);
                     sim.note_recovery(format!(
                         "demote chunk ({},{}) rows {}..{} to CPU",
@@ -796,6 +822,11 @@ pub(crate) fn simulate_order_recovering(
                     });
                 }
             }
+        }
+        if !next.is_empty() {
+            // Release the pool so the next pass sizes its own pool
+            // against the then-current device capacity.
+            sim.free(pass.pool, "pre-allocated pool");
         }
         pending = next;
     }
@@ -992,46 +1023,13 @@ impl OutOfCoreGpu {
             (ExecMode::Async, true) => ChunkGrid::grouped_desc(&pg.grid.sorted_desc()),
             _ => pg.grid.natural_order(),
         };
-        // Speculative grids route through the recovering orchestration
-        // even without a fault plan: estimate overflows surface as
-        // recoverable chunk failures there. Host fault plans and run
-        // budgets are enforced by the same supervised pass loop.
-        let recovering = self.config.fault_plan.is_some()
-            || self.config.host_faults.is_some()
-            || self.config.budget.is_some()
-            || pg.est_model.is_some();
-        let (sim_ns, timeline, overrides, recovery, metrics) = if recovering {
-            let mut sim = match &self.config.fault_plan {
-                Some(plan) => GpuSim::with_faults(
-                    self.config.device.clone(),
-                    self.config.cost.clone(),
-                    plan.clone(),
-                ),
-                None => GpuSim::new(self.config.device.clone(), self.config.cost.clone()),
-            };
-            let rec = simulate_order_recovering(&mut sim, a, pg, &order, &self.config)?;
-            let metrics = Metrics::collect(&sim, rec.sim_ns)
-                .with_chunks(rec.chunk_stats)
-                .with_degradations(rec.degradations);
-            (
-                rec.sim_ns,
-                sim.into_timeline(),
-                rec.overrides,
-                rec.report,
-                metrics,
-            )
-        } else {
-            let mut sim = GpuSim::new(self.config.device.clone(), self.config.cost.clone());
-            let sim_ns = simulate_order(&mut sim, pg, &order, &self.config)?;
-            let metrics = Metrics::collect(&sim, sim_ns);
-            (
-                sim_ns,
-                sim.into_timeline(),
-                HashMap::new(),
-                RecoveryReport::default(),
-                metrics,
-            )
-        };
+        let DeviceRun {
+            sim_ns,
+            timeline,
+            metrics,
+            report: recovery,
+            overrides,
+        } = run_device(a, pg, &order, &self.config)?;
         let metrics = match &pg.est_model {
             Some(model) => {
                 metrics.with_estimator(estimator_stats(&self.config, pg, model, &recovery))

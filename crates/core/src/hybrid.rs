@@ -17,8 +17,7 @@ use crate::chunks::{ChunkGrid, ChunkId, ChunkInfo};
 use crate::config::{ExecMode, HybridConfig, SchedulerKind};
 use crate::error::OocError;
 use crate::executor::{
-    attach_speculation_all, estimator_stats, prepare_grid, simulate_order,
-    simulate_order_recovering, PreparedGrid,
+    attach_speculation_all, estimator_stats, prepare_grid, run_device, PreparedGrid,
 };
 use crate::faults::{self, HostFaultKind, HostFaultState};
 use crate::metrics::{CpuKernelStats, Metrics, SchedulerStats};
@@ -26,7 +25,7 @@ use crate::plan::PanelPlan;
 use crate::recovery::{backoff_ns, RecoveryReport};
 use crate::scheduler::assign;
 use crate::Result;
-use gpu_sim::{GpuSim, SimTime, Timeline};
+use gpu_sim::{SimTime, Timeline};
 use sparse::CsrMatrix;
 use std::collections::HashMap;
 
@@ -187,18 +186,6 @@ impl Hybrid {
             .sum()
     }
 
-    /// GPU-side completion time for an ordered chunk set.
-    fn gpu_time(
-        &self,
-        pg: &PreparedGrid,
-        chunks: &[ChunkInfo],
-    ) -> Result<(SimTime, Timeline, Metrics)> {
-        let mut sim = GpuSim::new(self.config.gpu.device.clone(), self.config.gpu.cost.clone());
-        let t = simulate_order(&mut sim, pg, chunks, &self.config.gpu)?;
-        let metrics = Metrics::collect(&sim, t);
-        Ok((t, sim.into_timeline(), metrics))
-    }
-
     fn ordered_chunks(&self, pg: &PreparedGrid) -> Vec<ChunkInfo> {
         if self.config.reorder_assignment {
             pg.grid.sorted_desc()
@@ -226,35 +213,15 @@ impl Hybrid {
         let gpu_order = ChunkGrid::grouped_desc(&assignment.gpu);
         let mut recovery = base_recovery;
 
-        // Speculative grids (non-exact estimator) route through the
-        // recovering orchestration like the standalone GPU executor:
-        // estimate overflows surface as recoverable chunk failures
-        // there. Assignment above already happened on exact per-chunk
-        // flops/nnz — the estimator only sizes device allocations.
-        let recovering = self.config.gpu.fault_plan.is_some()
-            || self.config.gpu.host_faults.is_some()
-            || self.config.gpu.budget.is_some()
-            || pg.est_model.is_some();
+        // Assignment above already happened on exact per-chunk
+        // flops/nnz — a non-exact estimator only sizes the GPU side's
+        // device allocations.
         let (gpu_ns, timeline, overrides, metrics) = if gpu_dead {
             (0, Timeline::default(), HashMap::new(), Metrics::default())
-        } else if recovering {
-            let mut sim = match &self.config.gpu.fault_plan {
-                Some(plan) => GpuSim::with_faults(
-                    self.config.gpu.device.clone(),
-                    self.config.gpu.cost.clone(),
-                    plan.clone(),
-                ),
-                None => GpuSim::new(self.config.gpu.device.clone(), self.config.gpu.cost.clone()),
-            };
-            let rec = simulate_order_recovering(&mut sim, a, pg, &gpu_order, &self.config.gpu)?;
-            let metrics = Metrics::collect(&sim, rec.sim_ns)
-                .with_chunks(rec.chunk_stats)
-                .with_degradations(rec.degradations);
-            recovery.merge(&rec.report);
-            (rec.sim_ns, sim.into_timeline(), rec.overrides, metrics)
         } else {
-            let (t, tl, metrics) = self.gpu_time(pg, &gpu_order)?;
-            (t, tl, HashMap::new(), metrics)
+            let run = run_device(a, pg, &gpu_order, &self.config.gpu)?;
+            recovery.merge(&run.report);
+            (run.sim_ns, run.timeline, run.overrides, run.metrics)
         };
         let metrics = match &pg.est_model {
             Some(model) => {
@@ -370,14 +337,15 @@ impl Hybrid {
         self.run_prepared(a, pg, false, RecoveryReport::default())
     }
 
-    /// The GPU configuration with the estimator forced exact, used by
-    /// [`Hybrid::ratio_search`] only: the exhaustive split search
-    /// compares static prefix splits on the *exact* schedule so its
-    /// per-`g` times stay comparable across estimator settings.
+    /// The GPU configuration with the estimator forced exact and no
+    /// faults or budget, used by [`Hybrid::ratio_search`] only: the
+    /// exhaustive split search compares static prefix splits on the
+    /// *exact*, fault-free schedule so its per-`g` times stay
+    /// comparable across estimator and fault settings.
     fn exact_gpu_config(&self) -> crate::OocConfig {
         self.config
             .gpu
-            .clone()
+            .without_faults()
             .estimator(accum::estimate::EstimateConfig::exact())
     }
 
@@ -550,7 +518,8 @@ impl Hybrid {
     /// prefix splits — the same family both schedulers draw from.
     pub fn ratio_search(&self, a: &CsrMatrix, b: &CsrMatrix) -> Result<RatioSearch> {
         self.config.validate()?;
-        let pg = prepare_grid(a, b, &self.exact_gpu_config())?;
+        let gpu_config = self.exact_gpu_config();
+        let pg = prepare_grid(a, b, &gpu_config)?;
         let order = self.ordered_chunks(&pg);
         let (ratio_gpu, _) = ChunkGrid::split_by_ratio(&order, self.config.gpu_ratio);
         let ratio_g = ratio_gpu.len();
@@ -558,7 +527,7 @@ impl Hybrid {
         let mut per_g = Vec::with_capacity(order.len() + 1);
         for g in 0..=order.len() {
             let gpu_order = ChunkGrid::grouped_desc(&order[..g]);
-            let (gpu_ns, _, _) = self.gpu_time(&pg, &gpu_order)?;
+            let gpu_ns = run_device(a, &pg, &gpu_order, &gpu_config)?.sim_ns;
             let cpu_ns = self.cpu_time(&pg, &order[g..], &mut CpuKernelStats::default());
             per_g.push((g, gpu_ns.max(cpu_ns)));
         }

@@ -8,8 +8,9 @@
 //!   time, overlap efficiency;
 //! * device-memory accounting captured from the simulator before it is
 //!   consumed (allocation and bump-pool high-water marks);
-//! * host-side counters from the recovering executors — per-chunk
-//!   attempt counts, re-splits, and demotion causes ([`ChunkMetrics`]).
+//! * host-side counters from the pass-based pipeline orchestration —
+//!   per-chunk attempt counts, re-splits, and demotion causes
+//!   ([`ChunkMetrics`]).
 //!
 //! The figure-facing numbers are **bit-identical** to the ad-hoc
 //! derivations they replace: `timeline.transfer_fraction` is computed
@@ -297,9 +298,10 @@ pub struct Metrics {
     /// Bump-pool usage high-water mark, bytes (0 when the executor
     /// never carved a pool, e.g. pure-CPU demotion runs).
     pub pool_high_water_bytes: u64,
-    /// Per-chunk recovery counters; empty for exact fault-free runs.
-    /// Speculative runs always route through the recovering pass and
-    /// report at least one attempt per chunk.
+    /// Per-chunk recovery counters, one entry per planned chunk of
+    /// every async run (a clean chunk reports one attempt and no
+    /// re-splits); empty for the sync baseline without faults, which
+    /// has no recovery passes.
     pub chunks: Vec<ChunkMetrics>,
     /// Scheduler accounting; `None` for single-device runs that have
     /// no CPU/GPU work distribution to report.

@@ -21,15 +21,13 @@
 use crate::assemble::assemble;
 use crate::chunks::{ChunkGrid, ChunkId, ChunkInfo};
 use crate::config::{OocConfig, SchedulerKind};
-use crate::executor::{
-    estimator_stats, prepare_grid, simulate_order, simulate_order_recovering, PreparedGrid,
-};
+use crate::executor::{estimator_stats, prepare_grid, run_device, PreparedGrid};
 use crate::faults::{self, HostFaultKind, HostFaultState};
 use crate::metrics::{CpuKernelStats, Metrics, SchedulerStats};
 use crate::plan::PanelPlan;
 use crate::recovery::{backoff_ns, RecoveryReport};
 use crate::Result;
-use gpu_sim::{CostModel, GpuSim, KernelKind, SimTime, Timeline};
+use gpu_sim::{CostModel, KernelKind, SimTime, Timeline};
 use gpu_spgemm::PreparedChunk;
 use sparse::CsrMatrix;
 use std::collections::HashMap;
@@ -249,46 +247,26 @@ pub fn multiply_multi_gpu(
     let mut gpu_chunks = Vec::with_capacity(config.num_gpus);
     let mut recovery = RecoveryReport::default();
     let mut overrides: HashMap<ChunkId, CsrMatrix> = HashMap::new();
-    let recovering = config.gpu.fault_plan.is_some()
-        || config.gpu.host_faults.is_some()
-        || config.gpu.budget.is_some()
-        || pg.est_model.is_some();
     for (device, chunks) in assignment.iter().take(config.num_gpus).enumerate() {
-        let grouped = ChunkGrid::grouped_desc(chunks);
-        let t = if recovering {
-            // Each device draws from its own derived fault streams
-            // (device and host) so one GPU's faults never shift
-            // another's.
-            let mut dev_cfg = config.gpu.clone();
-            if let Some(hp) = &config.gpu.host_faults {
-                dev_cfg.host_faults = Some(hp.derive(faults::streams::MULTI_GPU + device as u64));
-            }
-            let mut sim = match &config.gpu.fault_plan {
-                Some(plan) => GpuSim::with_faults(
-                    config.gpu.device.clone(),
-                    cost.clone(),
-                    plan.derive(device as u64),
-                ),
-                None => GpuSim::new(config.gpu.device.clone(), cost.clone()),
-            };
-            let rec = simulate_order_recovering(&mut sim, a, &pg, &grouped, &dev_cfg)?;
-            recovery.merge(&rec.report);
-            overrides.extend(rec.overrides);
-            metrics.push(
-                Metrics::collect(&sim, rec.sim_ns)
-                    .with_chunks(rec.chunk_stats)
-                    .with_degradations(rec.degradations),
-            );
-            timelines.push(sim.into_timeline());
-            rec.sim_ns
-        } else {
-            let mut sim = GpuSim::new(config.gpu.device.clone(), cost.clone());
-            let t = simulate_order(&mut sim, &pg, &grouped, &config.gpu)?;
-            metrics.push(Metrics::collect(&sim, t));
-            timelines.push(sim.into_timeline());
-            t
-        };
-        gpu_ns.push(t);
+        // Each device draws from its own derived fault streams (device
+        // and host) so one GPU's faults never shift another's.
+        let mut dev_cfg = config.gpu.clone();
+        dev_cfg.fault_plan = config
+            .gpu
+            .fault_plan
+            .as_ref()
+            .map(|p| p.derive(device as u64));
+        dev_cfg.host_faults = config
+            .gpu
+            .host_faults
+            .as_ref()
+            .map(|hp| hp.derive(faults::streams::MULTI_GPU + device as u64));
+        let run = run_device(a, &pg, &ChunkGrid::grouped_desc(chunks), &dev_cfg)?;
+        recovery.merge(&run.report);
+        overrides.extend(run.overrides);
+        metrics.push(run.metrics);
+        timelines.push(run.timeline);
+        gpu_ns.push(run.sim_ns);
         gpu_chunks.push(chunks.len());
     }
     // Estimator accuracy is a property of the shared grid, not of one

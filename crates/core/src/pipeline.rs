@@ -9,17 +9,36 @@
 //! 3. only then is the *previous* chunk's output transfer issued, in
 //!    two portions: the first (33 % of rows) overlaps this chunk's
 //!    symbolic execution, the second overlaps its numeric execution;
-//! 4. all device structures come from a pre-allocated [`MemoryPool`],
-//!    so no `cudaMalloc` barrier ever splits the streams.
+//! 4. all device structures come from a pre-allocated pool, so no
+//!    `cudaMalloc` barrier ever splits the streams.
 //!
 //! Buffer-reuse safety falls out of stream FIFO order: chunk `i`
 //! recycles the pool epoch of chunk `i−2`, whose output portions were
 //! issued on the same stream, so new writes are ordered after the old
 //! transfer by construction.
+//!
+//! [`PipelineSession`] is the one implementation of this schedule. It
+//! is push-based — `new`, one `push` per chunk, then `finish` — so the
+//! same code serves both of its callers:
+//!
+//! * every async executor run (`executor::simulate_order_recovering`)
+//!   opens one session per recovery pass and pushes the surviving work
+//!   list through it;
+//! * the hybrid work-stealing auction (`scheduler`) pushes a claimed
+//!   prefix into a session on a clean scratch simulator and reads
+//!   [`PipelineSession::projected_finish`] as the GPU's clock.
+//!
+//! Every submission goes through the simulator's fallible `try_*` API
+//! and is retried with deterministic simulated backoff. A fault-free
+//! simulator never fails a submission, so a clean run is exactly the
+//! paper's schedule. A chunk that cannot complete is reported as a
+//! [`ChunkFailure`] for the caller to re-split, grow or demote; numeric
+//! results are host-side and never change.
 
+use crate::config::OocConfig;
 use crate::recovery::{backoff_ns, RecoveryPolicy, RecoveryReport};
 use gpu_sim::{
-    CopyDir, GpuSim, HostMem, KernelKind, MemoryPool, OutOfDeviceMemory, SimTime, Stream,
+    CopyDir, DeviceAlloc, GpuSim, HostMem, KernelKind, OutOfDeviceMemory, SimTime, Stream,
 };
 use gpu_spgemm::PreparedChunk;
 
@@ -28,38 +47,8 @@ const GROUPING_NS_PER_ROW: u64 = 2;
 /// Host-side per-row cost of the allocation prefix sum, ns.
 const PREFIX_NS_PER_ROW: u64 = 1;
 
-struct PendingOutput {
-    stream: Stream,
-    chunk_id: usize,
-    first_bytes: u64,
-    second_bytes: u64,
-}
-
-/// Checks the caller-reachable pipeline arguments, returning
-/// [`crate::OocError::Config`] instead of panicking: `depth` and
-/// `split_fraction` arrive straight from the CLI/config layer.
-fn validate_pipeline_args(
-    n_chunks: usize,
-    n_flags: usize,
-    split_fraction: f64,
-    depth: usize,
-) -> crate::Result<()> {
-    if n_chunks != n_flags {
-        return Err(crate::OocError::Config(format!(
-            "pipeline needs one transfer flag per chunk: {n_chunks} chunks, {n_flags} flags"
-        )));
-    }
-    if depth < 2 {
-        return Err(crate::OocError::Config(format!(
-            "pipeline depth must be at least 2, got {depth}"
-        )));
-    }
-    if !(0.0..=1.0).contains(&split_fraction) {
-        return Err(crate::OocError::Config(format!(
-            "split fraction must be in [0, 1], got {split_fraction}"
-        )));
-    }
-    Ok(())
+fn align256(bytes: u64) -> u64 {
+    bytes.div_ceil(256) * 256
 }
 
 /// Splits the pool bytes left after the A slot across `depth` epochs.
@@ -73,385 +62,32 @@ fn epoch_sizes(pool_bytes: u64, a_slot_bytes: u64, depth: usize) -> Vec<u64> {
     sizes
 }
 
-/// Runs the asynchronous pipeline over prepared chunks, in the given
-/// order. `transfer_a[i]` says whether chunk `i` must (re)copy its A
-/// panel. Returns the simulated completion time.
-pub fn simulate_pipeline(
-    sim: &mut GpuSim,
-    chunks: &[&PreparedChunk],
-    transfer_a: &[bool],
-    split_fraction: f64,
-    pinned: bool,
-) -> crate::Result<SimTime> {
-    simulate_pipeline_depth(sim, chunks, transfer_a, split_fraction, pinned, 2)
+/// Which device footprint a chunk is admitted with.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Footprint {
+    /// What the executor allocates: a speculative chunk reserves its
+    /// estimated output and no row-nnz array (its symbolic phase never
+    /// runs), and may overflow that estimate.
+    Planned,
+    /// The chunk's exact geometry, for pricing: the output buffer holds
+    /// the real output, so an estimate overflow cannot occur.
+    /// Feasibility then reasons from actual sizes, which also bound
+    /// every re-split piece of the chunk.
+    Exact,
 }
 
-/// [`simulate_pipeline`] with a configurable number of stream/buffer
-/// epochs. Depth 2 is the paper's double buffering; deeper pipelines
-/// split the pool further (less room per chunk) in exchange for more
-/// in-flight chunks.
-pub fn simulate_pipeline_depth(
-    sim: &mut GpuSim,
-    chunks: &[&PreparedChunk],
-    transfer_a: &[bool],
-    split_fraction: f64,
-    pinned: bool,
-    depth: usize,
-) -> crate::Result<SimTime> {
-    validate_pipeline_args(chunks.len(), transfer_a.len(), split_fraction, depth)?;
-    if chunks.is_empty() {
-        return Ok(sim.now());
-    }
-    // The A panel stays resident across consecutive chunks of the same
-    // row panel, so it lives in its own slot outside the rotating
-    // epochs (otherwise epoch recycling two chunks later would reclaim
-    // bytes the pipeline still reads).
-    let a_slot_bytes = chunks
-        .iter()
-        .zip(transfer_a)
-        .filter(|&(_, &t)| t)
-        .map(|(c, _)| align256(c.a_bytes))
-        .max()
-        .unwrap_or(0);
-    let mut session = PipelineSession::new(sim, split_fraction, pinned, depth, a_slot_bytes)?;
-    for (chunk, &xfer_a) in chunks.iter().zip(transfer_a) {
-        session.push(chunk, xfer_a)?;
-    }
-    Ok(session.finish())
-}
-
-/// An incremental handle over the asynchronous pipeline: chunks are
-/// pushed one at a time instead of arriving as one pre-known batch.
-///
-/// This is the primitive underneath both the batch entry point
-/// ([`simulate_pipeline_depth`] is a thin loop over `push`) and the
-/// work-stealing scheduler, which needs the GPU's projected completion
-/// time *after each claim* to decide whether the next chunk goes to
-/// the pipeline or is stolen by the CPU. Pushing the same chunks with
-/// the same transfer flags and A-slot size reproduces the exact
-/// enqueue sequence of the old batch loop, so timings stay
-/// bit-identical.
-pub(crate) struct PipelineSession<'s> {
-    sim: &'s mut GpuSim,
-    mem: HostMem,
-    pinned: bool,
-    split_fraction: f64,
-    depth: usize,
-    streams: Vec<Stream>,
-    pools: Vec<MemoryPool>,
-    a_slot: MemoryPool,
-    prev: Option<PendingOutput>,
-    pushed: usize,
-    /// Running max of every enqueued operation's completion time.
-    last_done: SimTime,
-}
-
-impl<'s> PipelineSession<'s> {
-    /// Allocates the device pool and stream set. `a_slot_bytes` is the
-    /// caller's bound on the resident-A slot (the largest 256-aligned
-    /// A panel it will ever push with `transfer_a == true`).
-    pub(crate) fn new(
-        sim: &'s mut GpuSim,
-        split_fraction: f64,
-        pinned: bool,
-        depth: usize,
-        a_slot_bytes: u64,
-    ) -> crate::Result<Self> {
-        validate_pipeline_args(0, 0, split_fraction, depth)?;
-        let mem = if pinned {
-            HostMem::Pinned
-        } else {
-            HostMem::Pageable
-        };
-        // One up-front allocation covering the whole working set: "a
-        // large chunk of memory is pre-allocated on device memory and
-        // shared by all dynamic data structures".
-        let pool_bytes = sim.memory().free_bytes();
-        let _backing = sim.malloc(pool_bytes, "pre-allocated pool")?;
-        if a_slot_bytes > pool_bytes {
-            return Err(crate::OocError::DeviceMemory(gpu_sim::OutOfDeviceMemory {
-                requested: a_slot_bytes,
-                free: pool_bytes,
-                capacity: sim.memory().capacity(),
-            }));
-        }
-        let a_slot = MemoryPool::new(a_slot_bytes);
-        let pools: Vec<MemoryPool> = epoch_sizes(pool_bytes, a_slot_bytes, depth)
-            .into_iter()
-            .map(MemoryPool::new)
-            .collect();
-        let streams: Vec<Stream> = (0..depth).map(|_| sim.create_stream()).collect();
-        Ok(PipelineSession {
-            sim,
-            mem,
-            pinned,
-            split_fraction,
-            depth,
-            streams,
-            pools,
-            a_slot,
-            prev: None,
-            pushed: 0,
-            last_done: 0,
-        })
-    }
-
-    /// Simulated time at which the pipeline would finish if no more
-    /// chunks were pushed: the last enqueued operation's completion
-    /// plus the drain of the still-undrained previous output. This is
-    /// the GPU worker's "clock" in the work-stealing claim loop.
-    pub(crate) fn projected_finish(&self) -> SimTime {
-        let pending = match &self.prev {
-            Some(p) => {
-                self.sim
-                    .cost()
-                    .copy_duration(p.first_bytes, true, self.pinned)
-                    + self
-                        .sim
-                        .cost()
-                        .copy_duration(p.second_bytes, true, self.pinned)
-            }
-            None => 0,
-        };
-        self.last_done + pending
-    }
-
-    /// Feeds one chunk through the Figure 6 schedule. `xfer_a` says
-    /// whether the chunk must (re)copy its A panel. An `Err` means the
-    /// chunk's working set does not fit the pool geometry — the
-    /// session stays usable, the chunk was not enqueued.
-    pub(crate) fn push(&mut self, chunk: &PreparedChunk, xfer_a: bool) -> crate::Result<()> {
-        let i = self.pushed;
-        let s = self.streams[i % self.depth];
-        let pool = &mut self.pools[i % self.depth];
-        let id = chunk.chunk_id;
-
-        // Recycle this parity's pool epoch (safe by stream FIFO; see
-        // module docs) and take offsets for every per-chunk structure.
-        // Reserve everything before enqueuing anything so a failed
-        // bump leaves the simulated device untouched.
-        let pool_before = pool.used();
-        pool.reset();
-        if xfer_a {
-            self.a_slot.reset();
-            if let Err(e) = self.a_slot.bump(chunk.a_bytes) {
-                pool.bump(pool_before).ok();
-                return Err(e.into());
-            }
-        }
-        // Feasibility is gated on the *exact* chunk geometry even for
-        // speculative chunks: distribution reasons from actual sizes
-        // (an inflated estimate must not close the GPU to a chunk the
-        // recovering executor would happily re-split and run), and the
-        // exact footprint is what any re-split piece is bounded by.
-        // Timing below still prices the speculative schedule that
-        // actually executes.
-        let mut reserve = || -> Result<(), gpu_sim::OutOfDeviceMemory> {
-            pool.bump(chunk.b_bytes)?;
-            pool.bump(chunk.row_info_bytes)?;
-            pool.bump(chunk.row_nnz_bytes)?;
-            pool.bump(chunk.out_bytes)?;
-            Ok(())
-        };
-        if let Err(e) = reserve() {
-            pool.reset();
-            pool.bump(pool_before).ok();
-            return Err(e.into());
-        }
-        self.pushed += 1;
-
-        // Input panels.
-        if xfer_a {
-            let t = self.sim.enqueue_copy(
-                s,
-                CopyDir::H2D,
-                chunk.a_bytes,
-                self.mem,
-                format!("H2D A (chunk {id})"),
-            );
-            self.last_done = self.last_done.max(t);
-        }
-        let t = self.sim.enqueue_copy(
-            s,
-            CopyDir::H2D,
-            chunk.b_bytes,
-            self.mem,
-            format!("H2D B (chunk {id})"),
-        );
-        self.last_done = self.last_done.max(t);
-
-        // Stage 1: row analysis; its D2H result goes ahead of the
-        // previous chunk's bulk output (Figure 6 transfer order).
-        let t = self.sim.enqueue_kernel(
-            s,
-            KernelKind::RowAnalysis { ops: chunk.a_nnz },
-            format!("row analysis (chunk {id})"),
-        );
-        self.last_done = self.last_done.max(t);
-        let t = self.sim.enqueue_copy(
-            s,
-            CopyDir::D2H,
-            chunk.row_info_bytes,
-            self.mem,
-            format!("D2H row info (chunk {id})"),
-        );
-        self.last_done = self.last_done.max(t);
-        let row_info_done = self.sim.record_event(s);
-
-        // Previous chunk, first portion: overlaps this chunk's
-        // symbolic phase.
-        if let Some(p) = &self.prev {
-            let t = self.sim.enqueue_copy(
-                p.stream,
-                CopyDir::D2H,
-                p.first_bytes,
-                self.mem,
-                format!("D2H output 1/2 (chunk {})", p.chunk_id),
-            );
-            self.last_done = self.last_done.max(t);
-        }
-
-        // Host grouping needs the row-analysis results — "we give up
-        // concurrency opportunities during the row analysis stage".
-        self.sim.event_synchronize(row_info_done);
-        self.sim.host_compute(
-            chunk.rows as u64 * GROUPING_NS_PER_ROW,
-            format!("host grouping (chunk {id})"),
-        );
-        self.last_done = self.last_done.max(self.sim.now());
-
-        if let Some(spec) = &chunk.spec {
-            // Speculative schedule (mirrors the recovering executor's
-            // branch): the output buffer was sized from the estimation
-            // model at planning time, so the symbolic kernels, the
-            // row-nnz D2H, and the host prefix sum all disappear —
-            // numeric kernels launch straight after grouping. Overflow
-            // is not modeled here; the fault-free session is a pricing
-            // model for the scheduler, and speculative execution itself
-            // always runs under the recovering orchestration.
-            if let Some(p) = self.prev.take() {
-                let t = self.sim.enqueue_copy(
-                    p.stream,
-                    CopyDir::D2H,
-                    p.second_bytes,
-                    self.mem,
-                    format!("D2H output 2/2 (chunk {})", p.chunk_id),
-                );
-                self.last_done = self.last_done.max(t);
-            }
-            for (g, &flops) in spec.est_group_flops.iter().enumerate() {
-                let t = self.sim.enqueue_kernel(
-                    s,
-                    KernelKind::Numeric {
-                        flops,
-                        compression_ratio: chunk.compression_ratio,
-                    },
-                    format!("numeric g{g} (chunk {id}, speculative)"),
-                );
-                self.last_done = self.last_done.max(t);
-            }
-        } else {
-            // Stage 2: symbolic kernels per row group.
-            for (g, &flops) in chunk.groups.group_flops.iter().enumerate() {
-                let t = self.sim.enqueue_kernel(
-                    s,
-                    KernelKind::Symbolic {
-                        flops,
-                        compression_ratio: chunk.compression_ratio,
-                    },
-                    format!("symbolic g{g} (chunk {id})"),
-                );
-                self.last_done = self.last_done.max(t);
-            }
-            let t = self.sim.enqueue_copy(
-                s,
-                CopyDir::D2H,
-                chunk.row_nnz_bytes,
-                self.mem,
-                format!("D2H row nnz (chunk {id})"),
-            );
-            self.last_done = self.last_done.max(t);
-            let row_nnz_done = self.sim.record_event(s);
-
-            // Previous chunk, second portion: overlaps this chunk's
-            // numeric phase.
-            if let Some(p) = self.prev.take() {
-                let t = self.sim.enqueue_copy(
-                    p.stream,
-                    CopyDir::D2H,
-                    p.second_bytes,
-                    self.mem,
-                    format!("D2H output 2/2 (chunk {})", p.chunk_id),
-                );
-                self.last_done = self.last_done.max(t);
-            }
-
-            // Host sizes the output from the symbolic results; the space
-            // was already bumped from the pool — no device barrier.
-            self.sim.event_synchronize(row_nnz_done);
-            self.sim.host_compute(
-                chunk.rows as u64 * PREFIX_NS_PER_ROW,
-                format!("host prefix sum (chunk {id})"),
-            );
-            self.last_done = self.last_done.max(self.sim.now());
-
-            // Stage 3: numeric kernels per output-size row group.
-            for (g, &flops) in chunk.numeric_groups.group_flops.iter().enumerate() {
-                let t = self.sim.enqueue_kernel(
-                    s,
-                    KernelKind::Numeric {
-                        flops,
-                        compression_ratio: chunk.compression_ratio,
-                    },
-                    format!("numeric g{g} (chunk {id})"),
-                );
-                self.last_done = self.last_done.max(t);
-            }
-        }
-
-        let (first_bytes, second_bytes) = chunk.split_output_bytes(self.split_fraction);
-        self.prev = Some(PendingOutput {
-            stream: s,
-            chunk_id: id,
-            first_bytes,
-            second_bytes,
-        });
-        Ok(())
-    }
-
-    /// Drains the last chunk's output, records the pool high-water mark
-    /// and returns the simulated completion time.
-    pub(crate) fn finish(mut self) -> SimTime {
-        if let Some(p) = self.prev.take() {
-            self.sim.enqueue_copy(
-                p.stream,
-                CopyDir::D2H,
-                p.first_bytes,
-                self.mem,
-                format!("D2H output 1/2 (chunk {})", p.chunk_id),
-            );
-            self.sim.enqueue_copy(
-                p.stream,
-                CopyDir::D2H,
-                p.second_bytes,
-                self.mem,
-                format!("D2H output 2/2 (chunk {})", p.chunk_id),
-            );
-        }
-        let pool_used: u64 =
-            self.a_slot.high_water() + self.pools.iter().map(|p| p.high_water()).sum::<u64>();
-        self.sim.note_pool_high_water(pool_used);
-        self.sim.finish()
-    }
-}
-
-/// One unit of work for the recovering pipeline: a prepared chunk plus
-/// the row-panel identity used for A-panel residency tracking.
-pub(crate) struct ChunkAttempt<'a> {
-    /// The prepared chunk (descriptors + host-side result).
-    pub chunk: &'a PreparedChunk,
-    /// Row panel the chunk's A view belongs to.
-    pub row: usize,
+/// Pool bytes a chunk reserves from its epoch: the B panel, the
+/// row-analysis result, the symbolic row-nnz array and the output
+/// buffer, each 256-aligned as CUDA would align them.
+pub(crate) fn chunk_need(chunk: &PreparedChunk, footprint: Footprint) -> u64 {
+    let (row_nnz_bytes, out_bytes) = match (&chunk.spec, footprint) {
+        (Some(spec), Footprint::Planned) => (0, spec.est_out_bytes),
+        _ => (chunk.row_nnz_bytes, chunk.out_bytes),
+    };
+    align256(chunk.b_bytes)
+        + align256(chunk.row_info_bytes)
+        + align256(row_nnz_bytes)
+        + align256(out_bytes)
 }
 
 /// Why a chunk could not complete on the device this pass.
@@ -474,99 +110,20 @@ pub(crate) enum ChunkFailure {
     Deadline,
 }
 
-/// Result of one recovering pipeline pass. Pass completion time is the
-/// simulator's own clock (time accumulates across passes on one
-/// persistent simulator).
-pub(crate) struct RecoveringOutcome {
-    /// Chunks (by input index) that did not complete, with the reason.
+/// What a finished session leaves for its caller.
+pub(crate) struct PassOutcome {
+    /// Chunks (by push index) that were admitted but whose output
+    /// transfer failed permanently after their `push` returned.
     pub failed: Vec<(usize, ChunkFailure)>,
+    /// The session's device pool, still allocated. A caller that hands
+    /// failed chunks to a further pass frees it first, so the next pool
+    /// sizes against the then-current device capacity; the final pass
+    /// keeps it, as freeing would only add an allocation barrier.
+    pub pool: DeviceAlloc,
 }
 
-fn align256(bytes: u64) -> u64 {
-    bytes.div_ceil(256) * 256
-}
-
-/// Retries a fallible kernel launch up to `policy.max_retries` times
-/// with deterministic simulated backoff. `Err(())` means the retry
-/// budget is exhausted (the caller abandons the chunk).
-fn retry_kernel(
-    sim: &mut GpuSim,
-    stream: Stream,
-    kind: KernelKind,
-    label: &str,
-    policy: &RecoveryPolicy,
-    report: &mut RecoveryReport,
-) -> Result<SimTime, ()> {
-    let mut attempt = 0u32;
-    loop {
-        match sim.try_enqueue_kernel(stream, kind, label) {
-            Ok(t) => return Ok(t),
-            Err(f) => {
-                report.kernel_faults += 1;
-                report.time_lost_ns += f.lost_ns;
-                if attempt >= policy.max_retries {
-                    sim.note_recovery(format!(
-                        "abandon after {} kernel faults: {label}",
-                        attempt + 1
-                    ));
-                    return Err(());
-                }
-                attempt += 1;
-                report.retries += 1;
-                let wait = backoff_ns(sim.cost(), attempt);
-                report.backoff_ns += wait;
-                report.time_lost_ns += wait;
-                sim.note_recovery(format!("retry {attempt}: {label}"));
-                sim.host_compute(wait, format!("backoff {attempt}: {label}"));
-            }
-        }
-    }
-}
-
-/// One transfer as submitted to [`retry_copy`].
-#[derive(Clone, Copy)]
-struct CopyOp {
-    dir: CopyDir,
-    bytes: u64,
-    mem: HostMem,
-}
-
-/// [`retry_kernel`] for copies.
-fn retry_copy(
-    sim: &mut GpuSim,
-    stream: Stream,
-    op: CopyOp,
-    label: &str,
-    policy: &RecoveryPolicy,
-    report: &mut RecoveryReport,
-) -> Result<SimTime, ()> {
-    let mut attempt = 0u32;
-    loop {
-        match sim.try_enqueue_copy(stream, op.dir, op.bytes, op.mem, label) {
-            Ok(t) => return Ok(t),
-            Err(f) => {
-                report.copy_faults += 1;
-                report.time_lost_ns += f.lost_ns;
-                if attempt >= policy.max_retries {
-                    sim.note_recovery(format!(
-                        "abandon after {} copy faults: {label}",
-                        attempt + 1
-                    ));
-                    return Err(());
-                }
-                attempt += 1;
-                report.retries += 1;
-                let wait = backoff_ns(sim.cost(), attempt);
-                report.backoff_ns += wait;
-                report.time_lost_ns += wait;
-                sim.note_recovery(format!("retry {attempt}: {label}"));
-                sim.host_compute(wait, format!("backoff {attempt}: {label}"));
-            }
-        }
-    }
-}
-
-struct RecoveringPending {
+/// A pushed chunk whose output has not fully left the device yet.
+struct PendingOutput {
     stream: Stream,
     chunk_id: usize,
     index: usize,
@@ -575,448 +132,438 @@ struct RecoveringPending {
     first_issued: bool,
 }
 
-/// Issues the first output portion of `prev` if still pending. On
-/// permanent transfer failure the previous chunk is marked failed.
-fn flush_prev_first(
-    sim: &mut GpuSim,
-    prev: &mut Option<RecoveringPending>,
-    mem: HostMem,
-    policy: &RecoveryPolicy,
-    report: &mut RecoveryReport,
-    failed: &mut Vec<(usize, ChunkFailure)>,
-) {
-    if let Some(p) = prev {
-        if !p.first_issued {
-            let label = format!("D2H output 1/2 (chunk {})", p.chunk_id);
-            match retry_copy(
-                sim,
-                p.stream,
-                CopyOp {
-                    dir: CopyDir::D2H,
-                    bytes: p.first_bytes,
-                    mem,
-                },
-                &label,
-                policy,
-                report,
-            ) {
-                Ok(_) => p.first_issued = true,
-                Err(()) => {
-                    failed.push((p.index, ChunkFailure::Faults));
-                    *prev = None;
-                }
-            }
-        }
-    }
+/// One fallible device submission.
+#[derive(Clone, Copy)]
+enum Op {
+    Kernel(KernelKind),
+    Copy(CopyDir, u64),
 }
 
-/// Issues the remaining output portions of `prev` (both, if the first
-/// never made it out) and clears it. On permanent transfer failure the
-/// previous chunk is marked failed.
-fn flush_prev_rest(
-    sim: &mut GpuSim,
-    prev: &mut Option<RecoveringPending>,
-    mem: HostMem,
-    policy: &RecoveryPolicy,
-    report: &mut RecoveryReport,
-    failed: &mut Vec<(usize, ChunkFailure)>,
-) {
-    flush_prev_first(sim, prev, mem, policy, report, failed);
-    if let Some(p) = prev.take() {
-        let label = format!("D2H output 2/2 (chunk {})", p.chunk_id);
-        if retry_copy(
-            sim,
-            p.stream,
-            CopyOp {
-                dir: CopyDir::D2H,
-                bytes: p.second_bytes,
-                mem,
-            },
-            &label,
-            policy,
-            report,
-        )
-        .is_err()
-        {
-            failed.push((p.index, ChunkFailure::Faults));
-        }
-    }
+/// Charges one retry's deterministic backoff to the host clock.
+fn back_off(sim: &mut GpuSim, report: &mut RecoveryReport, attempt: u32, label: &str) {
+    let wait = backoff_ns(sim.cost(), attempt);
+    report.retries += 1;
+    report.backoff_ns += wait;
+    report.time_lost_ns += wait;
+    sim.note_recovery(format!("retry {attempt}: {label}"));
+    sim.host_compute(wait, format!("backoff {attempt}: {label}"));
 }
 
-/// The self-healing variant of [`simulate_pipeline_depth`], used when a
-/// fault plan is installed. Differences from the fault-free path:
-///
-/// * every submission goes through the simulator's fallible `try_*`
-///   API and is retried with deterministic simulated backoff;
-/// * each chunk's pool reservation is checked up front — a chunk whose
-///   working set does not fit (e.g. after a capacity shrink) is
-///   *skipped* and reported as [`ChunkFailure::Oom`] so the caller can
-///   re-split it, instead of aborting the run;
-/// * a chunk whose retry budget is exhausted is reported as
-///   [`ChunkFailure::Faults`] so the caller can demote it to the CPU;
-/// * speculative chunks (`chunk.spec.is_some()`) follow the estimated
-///   schedule: they reserve the model-sized output and no row-nnz
-///   array, skip the symbolic kernels / row-nnz D2H / host prefix sum,
-///   and launch numeric kernels straight after grouping. A chunk whose
-///   real output outgrew the estimate is reported as
-///   [`ChunkFailure::EstimateOverflow`] so the caller can grow the
-///   allocation and retry;
-/// * A-panel residency is tracked dynamically (a skipped chunk must
-///   not leave a stale "A is resident" assumption behind).
-///
-/// The simulated timing of a fault-free plan differs slightly from
-/// [`simulate_pipeline_depth`] (conservative A-slot sizing); results
-/// never do — numeric results are host-side and untouched by faults.
-#[allow(clippy::too_many_arguments)] // one call site; bundling these into a struct adds no clarity
-pub(crate) fn simulate_pipeline_recovering(
-    sim: &mut GpuSim,
-    attempts: &[ChunkAttempt<'_>],
-    split_fraction: f64,
-    pinned: bool,
-    depth: usize,
-    policy: &RecoveryPolicy,
-    report: &mut RecoveryReport,
+/// The Figure 6 schedule over chunks pushed one at a time (see the
+/// module docs). The A panel lives in its own slot outside the rotating
+/// epochs and stays resident while consecutive chunks share a row
+/// panel; otherwise epoch recycling two chunks later would reclaim
+/// bytes the pipeline still reads.
+pub(crate) struct PipelineSession<'s> {
+    sim: &'s mut GpuSim,
+    report: &'s mut RecoveryReport,
+    policy: RecoveryPolicy,
     deadline_demote_ns: Option<SimTime>,
-) -> crate::Result<RecoveringOutcome> {
-    validate_pipeline_args(attempts.len(), attempts.len(), split_fraction, depth)?;
-    let mut failed: Vec<(usize, ChunkFailure)> = Vec::new();
-    if attempts.is_empty() {
-        return Ok(RecoveringOutcome { failed });
-    }
-    let mem = if pinned {
-        HostMem::Pinned
-    } else {
-        HostMem::Pageable
-    };
+    mem: HostMem,
+    split_fraction: f64,
+    streams: Vec<Stream>,
+    pool: DeviceAlloc,
+    a_slot_bytes: u64,
+    /// Admission bound: chunks rotate over epochs, so every chunk must
+    /// fit the smallest one (epoch 0 also holds the split remainder).
+    epoch_bytes: u64,
+    a_high_water: u64,
+    epoch_high_water: Vec<u64>,
+    a_resident: Option<usize>,
+    prev: Option<PendingOutput>,
+    pushed: usize,
+    late_failures: Vec<(usize, ChunkFailure)>,
+    /// Running max of every enqueued operation's completion time.
+    last_done: SimTime,
+}
 
-    // Pool allocation, retried on injected malloc faults. The request
-    // is recomputed each attempt so a capacity shrink landing on this
-    // very malloc is absorbed rather than fatal.
-    let mut attempt = 0u32;
-    let (pool, pool_bytes) = loop {
-        let want = sim.memory().free_bytes();
-        match sim.malloc(want, "pre-allocated pool") {
-            Ok(h) => break (h, want),
-            Err(e) => {
-                report.alloc_faults += 1;
-                if attempt >= policy.max_retries {
-                    return Err(crate::OocError::DeviceMemory(e));
-                }
-                attempt += 1;
-                report.retries += 1;
-                let wait = backoff_ns(sim.cost(), attempt);
-                report.backoff_ns += wait;
-                report.time_lost_ns += wait;
-                sim.note_recovery(format!("retry {attempt}: pre-allocated pool"));
-                sim.host_compute(wait, "backoff: pre-allocated pool");
-            }
+impl<'s> PipelineSession<'s> {
+    /// Allocates the device pool and the stream set from `config`'s
+    /// split fraction, pinning, depth and retry policy. The resident-A
+    /// slot holds `max_a_bytes`, the largest A panel the caller will
+    /// push; it is clamped to the pool, so an oversized A panel fails
+    /// its own chunks rather than the session. Past
+    /// `deadline_demote_ns` every push fails with
+    /// [`ChunkFailure::Deadline`]. Recovery work is counted in
+    /// `report`.
+    pub(crate) fn new(
+        sim: &'s mut GpuSim,
+        config: &OocConfig,
+        max_a_bytes: u64,
+        deadline_demote_ns: Option<SimTime>,
+        report: &'s mut RecoveryReport,
+    ) -> crate::Result<Self> {
+        let depth = config.pipeline_depth;
+        if depth < 2 {
+            return Err(crate::OocError::Config(format!(
+                "pipeline depth must be at least 2, got {depth}"
+            )));
         }
-    };
+        if !(0.0..=1.0).contains(&config.split_fraction) {
+            return Err(crate::OocError::Config(format!(
+                "split fraction must be in [0, 1], got {}",
+                config.split_fraction
+            )));
+        }
+        let policy = config.recovery;
+        // One up-front allocation covering the whole working set: "a
+        // large chunk of memory is pre-allocated on device memory and
+        // shared by all dynamic data structures". Retried on injected
+        // malloc faults; the request is recomputed each attempt so a
+        // capacity shrink landing on this very malloc is absorbed.
+        let mut attempt = 0u32;
+        let (pool, pool_bytes) = loop {
+            let want = sim.memory().free_bytes();
+            match sim.malloc(want, "pre-allocated pool") {
+                Ok(h) => break (h, want),
+                Err(e) => {
+                    report.alloc_faults += 1;
+                    if attempt >= policy.max_retries {
+                        return Err(crate::OocError::DeviceMemory(e));
+                    }
+                    attempt += 1;
+                    back_off(sim, report, attempt, "pre-allocated pool");
+                }
+            }
+        };
+        let a_slot_bytes = align256(max_a_bytes).min(pool_bytes);
+        let epoch_bytes = *epoch_sizes(pool_bytes, a_slot_bytes, depth)
+            .last()
+            .expect("depth >= 2");
+        let streams = (0..depth).map(|_| sim.create_stream()).collect();
+        Ok(PipelineSession {
+            sim,
+            report,
+            policy,
+            deadline_demote_ns,
+            mem: if config.pinned {
+                HostMem::Pinned
+            } else {
+                HostMem::Pageable
+            },
+            split_fraction: config.split_fraction,
+            streams,
+            pool,
+            a_slot_bytes,
+            epoch_bytes,
+            a_high_water: 0,
+            epoch_high_water: vec![0; depth],
+            a_resident: None,
+            prev: None,
+            pushed: 0,
+            late_failures: Vec::new(),
+            last_done: 0,
+        })
+    }
 
-    // Conservative A-slot: residency is dynamic here, so size for the
-    // largest A panel in the batch (clamped — an oversized A panel
-    // fails its own chunks, not the whole pass).
-    let a_slot_bytes = attempts
-        .iter()
-        .map(|a| align256(a.chunk.a_bytes))
-        .max()
-        .unwrap_or(0)
-        .min(pool_bytes);
-    // Chunks rotate over epochs, so admission is checked against the
-    // smallest epoch (epoch 0 additionally holds the split remainder).
-    let epoch_bytes = *epoch_sizes(pool_bytes, a_slot_bytes, depth)
-        .last()
-        .expect("depth >= 2");
-    let mut pool_high_water: u64 = 0;
+    /// Simulated time at which the pipeline would finish if no more
+    /// chunks were pushed: the last enqueued operation's completion
+    /// plus the drain of the still-pending previous output. This is
+    /// the GPU worker's clock in the work-stealing claim loop.
+    pub(crate) fn projected_finish(&self) -> SimTime {
+        let cost = self.sim.cost();
+        let pinned = self.mem == HostMem::Pinned;
+        let drain = self.prev.as_ref().map_or(0, |p| {
+            let first = if p.first_issued {
+                0
+            } else {
+                cost.copy_duration(p.first_bytes, true, pinned)
+            };
+            first + cost.copy_duration(p.second_bytes, true, pinned)
+        });
+        self.last_done.max(self.sim.now()) + drain
+    }
 
-    let streams: Vec<Stream> = (0..depth).map(|_| sim.create_stream()).collect();
-    let mut prev: Option<RecoveringPending> = None;
-    let mut a_resident: Option<usize> = None;
-
-    for (i, att) in attempts.iter().enumerate() {
-        let chunk = att.chunk;
-        let s = streams[i % depth];
+    /// Feeds one chunk through the Figure 6 schedule. `row` is the
+    /// chunk's row panel: its A panel is copied only when the previous
+    /// admitted chunk left a different panel resident. The chunk is
+    /// admitted against `chunk_need(chunk, footprint)`. An `Err` names
+    /// why the chunk did not complete; the session stays usable.
+    pub(crate) fn push(
+        &mut self,
+        chunk: &PreparedChunk,
+        row: usize,
+        footprint: Footprint,
+    ) -> Result<(), ChunkFailure> {
+        let index = self.pushed;
+        self.pushed += 1;
+        let epoch = index % self.streams.len();
+        let stream = self.streams[epoch];
         let id = chunk.chunk_id;
 
         // Deadline admission: past the budget's demotion point a chunk
         // fails fast (the supervisor demotes it to the CPU, whose time
         // is exactly predictable) instead of sinking device time.
-        if deadline_demote_ns.is_some_and(|d| sim.now() >= d) {
-            sim.note_recovery(format!("skip chunk {id}: past deadline demotion point"));
-            failed.push((i, ChunkFailure::Deadline));
-            continue;
+        if self.deadline_demote_ns.is_some_and(|d| self.sim.now() >= d) {
+            self.sim
+                .note_recovery(format!("skip chunk {id}: past deadline demotion point"));
+            return Err(ChunkFailure::Deadline);
         }
 
-        // Hard capacity check against the current pool geometry.
-        // Speculative chunks reserve their *estimated* output and no
-        // symbolic row-nnz array (that phase is skipped entirely).
+        // Hard capacity check against the pool geometry.
         let a_need = align256(chunk.a_bytes);
-        let row_nnz_need = if chunk.spec.is_some() {
-            0
-        } else {
-            align256(chunk.row_nnz_bytes)
-        };
-        let chunk_need = align256(chunk.b_bytes)
-            + align256(chunk.row_info_bytes)
-            + row_nnz_need
-            + align256(chunk.planned_out_bytes());
-        if a_need > a_slot_bytes || chunk_need > epoch_bytes {
-            sim.note_recovery(format!(
-                "skip chunk {id}: needs {} + {a_need} A bytes, epoch holds {epoch_bytes}",
-                chunk_need
+        let need = chunk_need(chunk, footprint);
+        if a_need > self.a_slot_bytes || need > self.epoch_bytes {
+            self.sim.note_recovery(format!(
+                "skip chunk {id}: needs {need} + {a_need} A bytes, epoch holds {}",
+                self.epoch_bytes
             ));
-            failed.push((
-                i,
-                ChunkFailure::Oom(OutOfDeviceMemory {
-                    requested: chunk_need.max(a_need),
-                    free: epoch_bytes,
-                    capacity: sim.memory().capacity(),
-                }),
-            ));
-            continue;
+            return Err(ChunkFailure::Oom(OutOfDeviceMemory {
+                requested: need.max(a_need),
+                free: self.epoch_bytes,
+                capacity: self.sim.memory().capacity(),
+            }));
         }
 
         // Transient pool-reservation faults: retry, then give the
         // chunk up to demotion.
-        let mut reserved = false;
+        let label = format!("pool reserve (chunk {id})");
         let mut attempt = 0u32;
-        while !reserved {
-            match sim.check_pool_reserve(chunk_need, format!("pool reserve (chunk {id})")) {
-                Ok(()) => reserved = true,
-                Err(_) => {
-                    report.pool_faults += 1;
-                    if attempt >= policy.max_retries {
-                        break;
-                    }
-                    attempt += 1;
-                    report.retries += 1;
-                    let wait = backoff_ns(sim.cost(), attempt);
-                    report.backoff_ns += wait;
-                    report.time_lost_ns += wait;
-                    sim.note_recovery(format!("retry {attempt}: pool reserve (chunk {id})"));
-                    sim.host_compute(wait, format!("backoff: pool reserve (chunk {id})"));
-                }
+        while self.sim.check_pool_reserve(need, label.as_str()).is_err() {
+            self.report.pool_faults += 1;
+            if attempt >= self.policy.max_retries {
+                return Err(ChunkFailure::Faults);
             }
+            attempt += 1;
+            back_off(self.sim, self.report, attempt, &label);
         }
-        if !reserved {
-            failed.push((i, ChunkFailure::Faults));
-            continue;
+        self.epoch_high_water[epoch] = self.epoch_high_water[epoch].max(need);
+        let xfer_a = self.a_resident != Some(row);
+        if xfer_a {
+            self.a_high_water = self.a_high_water.max(a_need);
         }
-        pool_high_water = pool_high_water.max(a_slot_bytes + chunk_need);
 
-        let xfer_a = a_resident != Some(att.row);
-        let failure: Option<ChunkFailure> = 'chunk: {
-            if xfer_a {
-                let label = format!("H2D A (chunk {id})");
-                if retry_copy(
-                    sim,
-                    s,
-                    CopyOp {
-                        dir: CopyDir::H2D,
-                        bytes: chunk.a_bytes,
-                        mem,
-                    },
-                    &label,
-                    policy,
-                    report,
-                )
-                .is_err()
-                {
-                    a_resident = None;
-                    break 'chunk Some(ChunkFailure::Faults);
-                }
-                a_resident = Some(att.row);
-            }
-            let label = format!("H2D B (chunk {id})");
-            if retry_copy(
-                sim,
-                s,
-                CopyOp {
-                    dir: CopyDir::H2D,
-                    bytes: chunk.b_bytes,
-                    mem,
-                },
-                &label,
-                policy,
-                report,
-            )
-            .is_err()
-            {
-                break 'chunk Some(ChunkFailure::Faults);
-            }
+        self.run_chunk(chunk, stream, row, xfer_a, footprint)?;
+        let (first_bytes, second_bytes) = chunk.split_output_bytes(self.split_fraction);
+        self.prev = Some(PendingOutput {
+            stream,
+            chunk_id: id,
+            index,
+            first_bytes,
+            second_bytes,
+            first_issued: false,
+        });
+        Ok(())
+    }
 
-            let label = format!("row analysis (chunk {id})");
-            if retry_kernel(
-                sim,
-                s,
-                KernelKind::RowAnalysis { ops: chunk.a_nnz },
-                &label,
-                policy,
-                report,
-            )
-            .is_err()
-            {
-                break 'chunk Some(ChunkFailure::Faults);
-            }
-            let label = format!("D2H row info (chunk {id})");
-            if retry_copy(
-                sim,
-                s,
-                CopyOp {
-                    dir: CopyDir::D2H,
-                    bytes: chunk.row_info_bytes,
-                    mem,
-                },
-                &label,
-                policy,
-                report,
-            )
-            .is_err()
-            {
-                break 'chunk Some(ChunkFailure::Faults);
-            }
-            let row_info_done = sim.record_event(s);
-
-            flush_prev_first(sim, &mut prev, mem, policy, report, &mut failed);
-
-            sim.event_synchronize(row_info_done);
-            sim.host_compute(
-                chunk.rows as u64 * GROUPING_NS_PER_ROW,
-                format!("host grouping (chunk {id})"),
-            );
-
-            if let Some(spec) = &chunk.spec {
-                // Speculative schedule: the output buffer was sized
-                // from the estimation model at planning time, so the
-                // symbolic kernels, the row-nnz D2H, and the host
-                // prefix sum all disappear — numeric kernels launch
-                // straight after grouping, into the estimated
-                // allocation.
-                flush_prev_rest(sim, &mut prev, mem, policy, report, &mut failed);
-
-                for (g, &flops) in spec.est_group_flops.iter().enumerate() {
-                    let label = format!("numeric g{g} (chunk {id}, speculative)");
-                    if retry_kernel(
-                        sim,
-                        s,
-                        KernelKind::Numeric {
-                            flops,
-                            compression_ratio: chunk.compression_ratio,
-                        },
-                        &label,
-                        policy,
-                        report,
-                    )
-                    .is_err()
-                    {
-                        break 'chunk Some(ChunkFailure::Faults);
-                    }
-                }
-                // The kernels' bounds check fires only now — the work
-                // above is charged (and lost) exactly as on real
-                // hardware, where overflow is detected in flight.
-                if spec.overflowed(chunk.out_bytes) {
-                    report.estimate_overflows += 1;
-                    sim.note_recovery(format!(
-                        "estimate overflow chunk {id}: allocated {} bytes, needs {}",
-                        spec.est_out_bytes, chunk.out_bytes
-                    ));
-                    break 'chunk Some(ChunkFailure::EstimateOverflow {
-                        needed: chunk.out_bytes,
-                    });
-                }
-            } else {
-                for (g, &flops) in chunk.groups.group_flops.iter().enumerate() {
-                    let label = format!("symbolic g{g} (chunk {id})");
-                    if retry_kernel(
-                        sim,
-                        s,
-                        KernelKind::Symbolic {
-                            flops,
-                            compression_ratio: chunk.compression_ratio,
-                        },
-                        &label,
-                        policy,
-                        report,
-                    )
-                    .is_err()
-                    {
-                        break 'chunk Some(ChunkFailure::Faults);
-                    }
-                }
-                let label = format!("D2H row nnz (chunk {id})");
-                if retry_copy(
-                    sim,
-                    s,
-                    CopyOp {
-                        dir: CopyDir::D2H,
-                        bytes: chunk.row_nnz_bytes,
-                        mem,
-                    },
-                    &label,
-                    policy,
-                    report,
-                )
-                .is_err()
-                {
-                    break 'chunk Some(ChunkFailure::Faults);
-                }
-                let row_nnz_done = sim.record_event(s);
-
-                flush_prev_rest(sim, &mut prev, mem, policy, report, &mut failed);
-
-                sim.event_synchronize(row_nnz_done);
-                sim.host_compute(
-                    chunk.rows as u64 * PREFIX_NS_PER_ROW,
-                    format!("host prefix sum (chunk {id})"),
-                );
-
-                for (g, &flops) in chunk.numeric_groups.group_flops.iter().enumerate() {
-                    let label = format!("numeric g{g} (chunk {id})");
-                    if retry_kernel(
-                        sim,
-                        s,
-                        KernelKind::Numeric {
-                            flops,
-                            compression_ratio: chunk.compression_ratio,
-                        },
-                        &label,
-                        policy,
-                        report,
-                    )
-                    .is_err()
-                    {
-                        break 'chunk Some(ChunkFailure::Faults);
-                    }
-                }
-            }
-            None
-        };
-
-        match failure {
-            None => {
-                let (first_bytes, second_bytes) = chunk.split_output_bytes(split_fraction);
-                prev = Some(RecoveringPending {
-                    stream: s,
-                    chunk_id: id,
-                    index: i,
-                    first_bytes,
-                    second_bytes,
-                    first_issued: false,
-                });
-            }
-            Some(f) => failed.push((i, f)),
+    /// Drains the last chunk's output, records the pool high-water mark
+    /// (the A slot plus every epoch's peak: all epochs are resident at
+    /// once) and synchronizes, so the session's completion is visible
+    /// on the simulator's clock.
+    pub(crate) fn finish(mut self) -> PassOutcome {
+        self.flush_prev_rest();
+        let pool_used = self.a_high_water + self.epoch_high_water.iter().sum::<u64>();
+        self.sim.note_pool_high_water(pool_used);
+        self.sim.finish();
+        PassOutcome {
+            failed: self.late_failures,
+            pool: self.pool,
         }
     }
 
-    flush_prev_rest(sim, &mut prev, mem, policy, report, &mut failed);
-    sim.note_pool_high_water(pool_high_water);
-    // Release the pool so a follow-up pass (after re-splitting) can
-    // size its own pool against the then-current device capacity.
-    sim.free(pool, "pre-allocated pool");
-    // Synchronize so the pass's completion is visible on `sim.now()`.
-    sim.finish();
-    Ok(RecoveringOutcome { failed })
+    /// Enqueues one admitted chunk's transfers, kernels and host steps.
+    fn run_chunk(
+        &mut self,
+        chunk: &PreparedChunk,
+        s: Stream,
+        row: usize,
+        xfer_a: bool,
+        footprint: Footprint,
+    ) -> Result<(), ChunkFailure> {
+        let id = chunk.chunk_id;
+        // Input panels. A failed A copy leaves no panel resident.
+        if xfer_a {
+            self.a_resident = None;
+            self.submit(
+                s,
+                Op::Copy(CopyDir::H2D, chunk.a_bytes),
+                format!("H2D A (chunk {id})"),
+            )?;
+            self.a_resident = Some(row);
+        }
+        self.submit(
+            s,
+            Op::Copy(CopyDir::H2D, chunk.b_bytes),
+            format!("H2D B (chunk {id})"),
+        )?;
+
+        // Stage 1: row analysis; its D2H result goes ahead of the
+        // previous chunk's bulk output (Figure 6 transfer order).
+        self.submit(
+            s,
+            Op::Kernel(KernelKind::RowAnalysis { ops: chunk.a_nnz }),
+            format!("row analysis (chunk {id})"),
+        )?;
+        self.submit(
+            s,
+            Op::Copy(CopyDir::D2H, chunk.row_info_bytes),
+            format!("D2H row info (chunk {id})"),
+        )?;
+        let row_info_done = self.sim.record_event(s);
+
+        // Previous chunk, first portion: overlaps this chunk's
+        // symbolic phase.
+        self.flush_prev_first();
+
+        // Host grouping needs the row-analysis results — "we give up
+        // concurrency opportunities during the row analysis stage".
+        self.sim.event_synchronize(row_info_done);
+        self.sim.host_compute(
+            chunk.rows as u64 * GROUPING_NS_PER_ROW,
+            format!("host grouping (chunk {id})"),
+        );
+
+        let numeric = |flops| KernelKind::Numeric {
+            flops,
+            compression_ratio: chunk.compression_ratio,
+        };
+        if let Some(spec) = &chunk.spec {
+            // Speculative schedule: the output buffer was sized from
+            // the estimation model at planning time, so the symbolic
+            // kernels, the row-nnz D2H and the host prefix sum all
+            // disappear — numeric kernels launch straight after
+            // grouping, into the estimated allocation.
+            self.flush_prev_rest();
+            for (g, &flops) in spec.est_group_flops.iter().enumerate() {
+                self.submit(
+                    s,
+                    Op::Kernel(numeric(flops)),
+                    format!("numeric g{g} (chunk {id}, speculative)"),
+                )?;
+            }
+            // The kernels' bounds check fires only now — the work
+            // above is charged (and lost) exactly as on real hardware,
+            // where overflow is detected in flight.
+            if footprint == Footprint::Planned && spec.overflowed(chunk.out_bytes) {
+                self.report.estimate_overflows += 1;
+                self.sim.note_recovery(format!(
+                    "estimate overflow chunk {id}: allocated {} bytes, needs {}",
+                    spec.est_out_bytes, chunk.out_bytes
+                ));
+                return Err(ChunkFailure::EstimateOverflow {
+                    needed: chunk.out_bytes,
+                });
+            }
+            return Ok(());
+        }
+
+        // Stage 2: symbolic kernels per row group.
+        for (g, &flops) in chunk.groups.group_flops.iter().enumerate() {
+            self.submit(
+                s,
+                Op::Kernel(KernelKind::Symbolic {
+                    flops,
+                    compression_ratio: chunk.compression_ratio,
+                }),
+                format!("symbolic g{g} (chunk {id})"),
+            )?;
+        }
+        self.submit(
+            s,
+            Op::Copy(CopyDir::D2H, chunk.row_nnz_bytes),
+            format!("D2H row nnz (chunk {id})"),
+        )?;
+        let row_nnz_done = self.sim.record_event(s);
+
+        // Previous chunk, second portion: overlaps this chunk's
+        // numeric phase.
+        self.flush_prev_rest();
+
+        // Host sizes the output from the symbolic results; the space
+        // was already reserved from the pool — no device barrier.
+        self.sim.event_synchronize(row_nnz_done);
+        self.sim.host_compute(
+            chunk.rows as u64 * PREFIX_NS_PER_ROW,
+            format!("host prefix sum (chunk {id})"),
+        );
+
+        // Stage 3: numeric kernels per output-size row group.
+        for (g, &flops) in chunk.numeric_groups.group_flops.iter().enumerate() {
+            self.submit(
+                s,
+                Op::Kernel(numeric(flops)),
+                format!("numeric g{g} (chunk {id})"),
+            )?;
+        }
+        Ok(())
+    }
+
+    /// Submits one operation, retrying injected faults up to
+    /// `policy.max_retries` times with deterministic simulated backoff.
+    fn submit(&mut self, stream: Stream, op: Op, label: String) -> Result<(), ChunkFailure> {
+        let mut attempt = 0u32;
+        loop {
+            let result = match op {
+                Op::Kernel(kind) => self.sim.try_enqueue_kernel(stream, kind, label.as_str()),
+                Op::Copy(dir, bytes) => {
+                    self.sim
+                        .try_enqueue_copy(stream, dir, bytes, self.mem, label.as_str())
+                }
+            };
+            let fault = match result {
+                Ok(done) => {
+                    self.last_done = self.last_done.max(done);
+                    return Ok(());
+                }
+                Err(fault) => fault,
+            };
+            let what = match op {
+                Op::Kernel(_) => {
+                    self.report.kernel_faults += 1;
+                    "kernel"
+                }
+                Op::Copy(..) => {
+                    self.report.copy_faults += 1;
+                    "copy"
+                }
+            };
+            self.report.time_lost_ns += fault.lost_ns;
+            if attempt >= self.policy.max_retries {
+                self.sim.note_recovery(format!(
+                    "abandon after {} {what} faults: {label}",
+                    attempt + 1
+                ));
+                return Err(ChunkFailure::Faults);
+            }
+            attempt += 1;
+            back_off(self.sim, self.report, attempt, &label);
+        }
+    }
+
+    /// Issues the pending output's first portion if still unissued. A
+    /// permanent transfer failure fails that chunk.
+    fn flush_prev_first(&mut self) {
+        let Some(mut p) = self.prev.take() else {
+            return;
+        };
+        if !p.first_issued {
+            let label = format!("D2H output 1/2 (chunk {})", p.chunk_id);
+            if self
+                .submit(p.stream, Op::Copy(CopyDir::D2H, p.first_bytes), label)
+                .is_err()
+            {
+                self.late_failures.push((p.index, ChunkFailure::Faults));
+                return;
+            }
+            p.first_issued = true;
+        }
+        self.prev = Some(p);
+    }
+
+    /// Issues the pending output's remaining portions (both, if the
+    /// first never made it out) and clears it.
+    fn flush_prev_rest(&mut self) {
+        self.flush_prev_first();
+        if let Some(p) = self.prev.take() {
+            let label = format!("D2H output 2/2 (chunk {})", p.chunk_id);
+            if self
+                .submit(p.stream, Op::Copy(CopyDir::D2H, p.second_bytes), label)
+                .is_err()
+            {
+                self.late_failures.push((p.index, ChunkFailure::Faults));
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1028,37 +575,66 @@ mod tests {
     use sparse::gen::erdos_renyi;
     use sparse::CsrView;
 
-    fn prepared_fixture(n_chunks: usize) -> (Vec<sparse::CsrMatrix>, sparse::CsrMatrix) {
+    /// `n_chunks` chunks of one 1200-row A panel against column panels
+    /// of B; all share row panel 0, so A is copied once.
+    fn prepared_fixture(n_chunks: usize) -> Vec<PreparedChunk> {
         let a = erdos_renyi(1200, 1200, 0.02, 1);
         let b = erdos_renyi(1200, 1200, 0.02, 2);
         let ranges = sparse::partition::col::even_col_ranges(&b, n_chunks);
         let panels = sparse::partition::col::ColPartitioner::Cursor.partition(&b, &ranges);
-        (panels.into_iter().map(|p| p.matrix).collect(), a)
+        panels
+            .iter()
+            .enumerate()
+            .map(|(i, p)| {
+                prepare_chunk(ChunkJob {
+                    a_panel: CsrView::of(&a),
+                    b_panel: &p.matrix,
+                    chunk_id: i,
+                })
+            })
+            .collect()
     }
 
     fn new_sim() -> GpuSim {
         GpuSim::new(DeviceProps::v100_scaled(96 << 20), CostModel::calibrated())
     }
 
+    fn config(depth: usize) -> OocConfig {
+        let mut config = OocConfig::paper_default();
+        config.pipeline_depth = depth;
+        config
+    }
+
+    fn a_slot(chunks: &[PreparedChunk]) -> u64 {
+        chunks
+            .iter()
+            .map(|c| align256(c.a_bytes))
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Pushes every chunk through one session and returns the makespan.
+    fn run(sim: &mut GpuSim, chunks: &[PreparedChunk], depth: usize) -> SimTime {
+        let mut report = RecoveryReport::default();
+        let mut session =
+            PipelineSession::new(sim, &config(depth), a_slot(chunks), None, &mut report).unwrap();
+        for c in chunks {
+            session.push(c, 0, Footprint::Planned).unwrap();
+        }
+        assert!(session.finish().failed.is_empty());
+        assert_eq!(
+            report,
+            RecoveryReport::default(),
+            "a clean run recovers nothing"
+        );
+        sim.now()
+    }
+
     #[test]
     fn pipeline_overlaps_transfers_with_compute() {
-        let (panels, a) = prepared_fixture(4);
-        let prepared: Vec<_> = panels
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                prepare_chunk(ChunkJob {
-                    a_panel: CsrView::of(&a),
-                    b_panel: p,
-                    chunk_id: i,
-                })
-            })
-            .collect();
-        let refs: Vec<&_> = prepared.iter().collect();
-        let flags: Vec<bool> = (0..refs.len()).map(|i| i == 0).collect();
-
+        let prepared = prepared_fixture(4);
         let mut sim = new_sim();
-        let async_time = simulate_pipeline(&mut sim, &refs, &flags, 0.33, true).unwrap();
+        let async_time = run(&mut sim, &prepared, 2);
         sim.timeline().validate().unwrap();
 
         // Serial lower bound: sum of all busy times must exceed the
@@ -1083,46 +659,20 @@ mod tests {
 
     #[test]
     fn pipeline_has_no_alloc_barriers_after_setup() {
-        let (panels, a) = prepared_fixture(3);
-        let prepared: Vec<_> = panels
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                prepare_chunk(ChunkJob {
-                    a_panel: CsrView::of(&a),
-                    b_panel: p,
-                    chunk_id: i,
-                })
-            })
-            .collect();
-        let refs: Vec<&_> = prepared.iter().collect();
-        let flags = vec![true, false, false];
+        let prepared = prepared_fixture(3);
         let mut sim = new_sim();
-        simulate_pipeline(&mut sim, &refs, &flags, 0.33, true).unwrap();
+        run(&mut sim, &prepared, 2);
         let barriers = sim.timeline().of_kind(OpKind::AllocBarrier).count();
         assert_eq!(barriers, 1, "only the up-front pool allocation may exist");
     }
 
     #[test]
     fn deeper_pipelines_are_valid_and_complete() {
-        let (panels, a) = prepared_fixture(6);
-        let prepared: Vec<_> = panels
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                prepare_chunk(ChunkJob {
-                    a_panel: CsrView::of(&a),
-                    b_panel: p,
-                    chunk_id: i,
-                })
-            })
-            .collect();
-        let refs: Vec<&_> = prepared.iter().collect();
-        let flags: Vec<bool> = (0..refs.len()).map(|i| i == 0).collect();
+        let prepared = prepared_fixture(6);
         let mut times = Vec::new();
         for depth in [2usize, 3, 4] {
             let mut sim = new_sim();
-            let t = simulate_pipeline_depth(&mut sim, &refs, &flags, 0.33, true, depth).unwrap();
+            let t = run(&mut sim, &prepared, depth);
             sim.timeline().validate().unwrap();
             // All output bytes still cross the D2H engine exactly once.
             let d2h: u64 = sim
@@ -1147,14 +697,21 @@ mod tests {
     #[test]
     fn empty_chunk_list_is_noop() {
         let mut sim = new_sim();
-        let t = simulate_pipeline(&mut sim, &[], &[], 0.33, true).unwrap();
-        assert_eq!(t, 0);
+        run(&mut sim, &[], 2);
+        let t = sim.timeline();
+        assert_eq!(t.of_kind(OpKind::Kernel).count(), 0);
+        assert_eq!(t.of_kind(OpKind::CopyH2D).count(), 0);
+        assert_eq!(t.of_kind(OpKind::CopyD2H).count(), 0);
+        assert_eq!(sim.pool_high_water(), 0);
     }
 
     #[test]
     fn shallow_depth_is_a_config_error_not_a_panic() {
         let mut sim = new_sim();
-        let err = simulate_pipeline_depth(&mut sim, &[], &[], 0.33, true, 1).unwrap_err();
+        let mut report = RecoveryReport::default();
+        let err = PipelineSession::new(&mut sim, &config(1), 0, None, &mut report)
+            .err()
+            .expect("depth 1 must be rejected");
         match err {
             crate::OocError::Config(msg) => assert!(msg.contains("depth"), "{msg}"),
             other => panic!("expected Config error, got {other:?}"),
@@ -1162,33 +719,15 @@ mod tests {
     }
 
     #[test]
-    fn mismatched_transfer_flags_are_a_config_error() {
-        let (panels, a) = prepared_fixture(2);
-        let prepared: Vec<_> = panels
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                prepare_chunk(ChunkJob {
-                    a_panel: CsrView::of(&a),
-                    b_panel: p,
-                    chunk_id: i,
-                })
-            })
-            .collect();
-        let refs: Vec<&_> = prepared.iter().collect();
-        let mut sim = new_sim();
-        let err = simulate_pipeline(&mut sim, &refs, &[true], 0.33, true).unwrap_err();
-        match err {
-            crate::OocError::Config(msg) => assert!(msg.contains("transfer flag"), "{msg}"),
-            other => panic!("expected Config error, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn out_of_range_split_fraction_is_a_config_error() {
         let mut sim = new_sim();
+        let mut report = RecoveryReport::default();
         for bad in [-0.1, 1.5, f64::NAN] {
-            let err = simulate_pipeline(&mut sim, &[], &[], bad, true).unwrap_err();
+            let mut cfg = config(2);
+            cfg.split_fraction = bad;
+            let err = PipelineSession::new(&mut sim, &cfg, 0, None, &mut report)
+                .err()
+                .expect("bad split fraction must be rejected");
             assert!(matches!(err, crate::OocError::Config(_)), "{bad}: {err:?}");
         }
     }
@@ -1216,47 +755,58 @@ mod tests {
 
     #[test]
     fn pipeline_reports_pool_high_water() {
-        let (panels, a) = prepared_fixture(3);
-        let prepared: Vec<_> = panels
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                prepare_chunk(ChunkJob {
-                    a_panel: CsrView::of(&a),
-                    b_panel: p,
-                    chunk_id: i,
-                })
-            })
-            .collect();
-        let refs: Vec<&_> = prepared.iter().collect();
-        let flags: Vec<bool> = (0..refs.len()).map(|i| i == 0).collect();
+        // Chunks 0 and 2 share epoch 0, chunk 1 owns epoch 1; both
+        // epochs and the A slot are resident at once.
+        let prepared = prepared_fixture(3);
         let mut sim = new_sim();
-        simulate_pipeline(&mut sim, &refs, &flags, 0.33, true).unwrap();
-        let hw = sim.pool_high_water();
-        assert!(hw > 0, "pipeline must report pool usage");
-        assert!(
-            hw <= sim.memory().capacity(),
-            "pool high-water {hw} exceeds device capacity"
-        );
+        run(&mut sim, &prepared, 2);
+        let need = |i: usize| chunk_need(&prepared[i], Footprint::Planned);
+        let expect = a_slot(&prepared) + need(0).max(need(2)) + need(1);
+        assert_eq!(sim.pool_high_water(), expect);
+        assert!(expect <= sim.memory().capacity());
     }
 
     #[test]
     fn pool_exhaustion_is_reported() {
-        let (panels, a) = prepared_fixture(2);
-        let prepared: Vec<_> = panels
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                prepare_chunk(ChunkJob {
-                    a_panel: CsrView::of(&a),
-                    b_panel: p,
-                    chunk_id: i,
-                })
-            })
-            .collect();
-        let refs: Vec<&_> = prepared.iter().collect();
+        let prepared = prepared_fixture(2);
         let mut sim = GpuSim::new(DeviceProps::v100_scaled(1 << 16), CostModel::calibrated());
-        let err = simulate_pipeline(&mut sim, &refs, &[true, false], 0.33, true);
-        assert!(err.is_err());
+        let mut report = RecoveryReport::default();
+        let mut session =
+            PipelineSession::new(&mut sim, &config(2), a_slot(&prepared), None, &mut report)
+                .unwrap();
+        let err = session.push(&prepared[0], 0, Footprint::Planned);
+        assert!(matches!(err, Err(ChunkFailure::Oom(_))), "{err:?}");
+    }
+
+    #[test]
+    fn exact_footprint_never_overflows_an_estimate() {
+        // An under-sized speculative allocation overflows when admitted
+        // as planned; priced with its exact geometry it cannot.
+        let a = erdos_renyi(1200, 1200, 0.02, 1);
+        let b = erdos_renyi(1200, 1200, 0.02, 2);
+        let a_view = CsrView::of(&a);
+        let mut chunk = prepare_chunk(ChunkJob {
+            a_panel: a_view,
+            b_panel: &b,
+            chunk_id: 0,
+        });
+        let mut model =
+            accum::estimate::build_model(&a_view, &b, &accum::estimate::EstimateConfig::default());
+        model.headroom = 0.01;
+        gpu_spgemm::phases::attach_speculation(&mut chunk, &a_view, &b, &model);
+        assert!(chunk_need(&chunk, Footprint::Planned) < chunk_need(&chunk, Footprint::Exact));
+
+        let mut sim = new_sim();
+        let mut report = RecoveryReport::default();
+        let slot = align256(chunk.a_bytes);
+        let mut session =
+            PipelineSession::new(&mut sim, &config(2), slot, None, &mut report).unwrap();
+        assert!(matches!(
+            session.push(&chunk, 0, Footprint::Planned),
+            Err(ChunkFailure::EstimateOverflow { .. })
+        ));
+        assert!(session.push(&chunk, 0, Footprint::Exact).is_ok());
+        session.finish();
+        assert_eq!(report.estimate_overflows, 1);
     }
 }

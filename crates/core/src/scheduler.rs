@@ -10,14 +10,14 @@
 //!
 //! The claim loop is a *deterministic simulation-time auction*, not a
 //! wall-clock race. Each side keeps a clock: the GPU's is the
-//! projected completion of its claimed prefix, simulated with a
-//! pipeline model (`PipelineSession` on a clean scratch simulator) in
-//! the same row-grouped order the executor will actually run; the
-//! CPU's is the calibrated cost-model sum of its stolen chunks. Each
-//! step compares the two candidate moves — GPU claims the head, CPU
-//! steals the tail — and takes whichever keeps the projected makespan
-//! smaller (ties to the GPU, which claims denser work). Two properties
-//! fall out of this construction:
+//! projected completion of its claimed prefix, simulated with the
+//! executor's own pipeline (`PipelineSession` on a clean scratch
+//! simulator) in the same row-grouped order the executor will actually
+//! run; the CPU's is the calibrated cost-model sum of its stolen
+//! chunks. Each step compares the two candidate moves — GPU claims the
+//! head, CPU steals the tail — and takes whichever keeps the projected
+//! makespan smaller (ties to the GPU, which claims denser work). Two
+//! properties fall out of this construction:
 //!
 //! * **Determinism under faults.** The scratch model never sees the
 //!   fault plan, so the same inputs produce the same claims — and the
@@ -39,7 +39,8 @@
 use crate::chunks::{ChunkGrid, ChunkInfo};
 use crate::config::{HybridConfig, SchedulerKind};
 use crate::executor::PreparedGrid;
-use crate::pipeline::PipelineSession;
+use crate::pipeline::{Footprint, PipelineSession};
+use crate::recovery::RecoveryReport;
 use gpu_sim::{GpuSim, SimTime};
 
 /// The outcome of distributing an ordered chunk list: the GPU's prefix
@@ -85,10 +86,6 @@ fn all_cpu(order: &[ChunkInfo]) -> Assignment {
     }
 }
 
-fn align256(bytes: u64) -> u64 {
-    bytes.div_ceil(256) * 256
-}
-
 fn work_stealing(config: &HybridConfig, pg: &PreparedGrid, order: &[ChunkInfo]) -> Assignment {
     let n = order.len();
     if n == 0 {
@@ -108,10 +105,10 @@ fn work_stealing(config: &HybridConfig, pg: &PreparedGrid, order: &[ChunkInfo]) 
     }
 
     let cfg = &config.gpu;
-    // Conservative A-slot covering any claimable prefix.
-    let a_slot_bytes = order
+    // An A slot covering any claimable prefix.
+    let max_a_bytes = order
         .iter()
-        .map(|info| align256(pg.chunk(info.id).a_bytes))
+        .map(|info| pg.chunk(info.id).a_bytes)
         .max()
         .unwrap_or(0);
 
@@ -119,24 +116,21 @@ fn work_stealing(config: &HybridConfig, pg: &PreparedGrid, order: &[ChunkInfo]) 
     // row-grouped order the executor will actually run it in — claim
     // order interleaves rows, and pricing an A-panel transfer per push
     // would systematically overestimate the GPU and starve it. The
-    // scratch simulator is clean — never the faulted one — so claim
-    // decisions (and steal counts) are identical under any fault plan.
+    // scratch simulator is clean — never the faulted one — and carries
+    // no budget, so claim decisions (and steal counts) are identical
+    // under any fault plan. Chunks are admitted with their exact
+    // footprint: distribution reasons from actual sizes (an inflated
+    // estimate must not close the GPU to a chunk the executor would
+    // happily re-split and run), and estimate overflow is not priced.
     let projected = |prefix: &[ChunkInfo]| -> Option<SimTime> {
         let mut scratch = GpuSim::new(cfg.device.clone(), cfg.cost.clone());
-        let mut session = PipelineSession::new(
-            &mut scratch,
-            cfg.split_fraction,
-            cfg.pinned,
-            cfg.pipeline_depth,
-            a_slot_bytes,
-        )
-        .ok()?;
-        let mut last_row: Option<usize> = None;
+        let mut report = RecoveryReport::default();
+        let mut session =
+            PipelineSession::new(&mut scratch, cfg, max_a_bytes, None, &mut report).ok()?;
         for info in ChunkGrid::grouped_desc(prefix) {
             session
-                .push(pg.chunk(info.id), last_row != Some(info.id.row))
+                .push(pg.chunk(info.id), info.id.row, Footprint::Exact)
                 .ok()?;
-            last_row = Some(info.id.row);
         }
         Some(session.projected_finish())
     };

@@ -27,12 +27,12 @@
 use crate::assemble::assemble;
 use crate::chunks::ChunkId;
 use crate::config::OocConfig;
-use crate::executor::{prepare_grid, simulate_order};
+use crate::executor::{prepare_grid, run_device};
 use crate::faults::{self, HostFaultKind, HostFaultState};
 use crate::plan::{PanelPlan, Planner};
 use crate::recovery::RecoveryReport;
 use crate::{OocError, Result};
-use gpu_sim::{GpuSim, SimTime};
+use gpu_sim::SimTime;
 use sparse::io::binary::{read_binary, to_bytes};
 use sparse::CsrMatrix;
 use std::path::{Path, PathBuf};
@@ -464,16 +464,17 @@ pub fn multiply_to_disk(
         .map_err(|e| OocError::Config(format!("cannot create {}: {e}", dir.display())))?;
     // The spill path sizes disk segments from exact chunk outputs, so
     // it always plans exactly regardless of the configured estimator.
+    // Its device schedule is simulated fault-free: the configured host
+    // faults act on the spill I/O below, not on the device.
     let exact_cfg = config
-        .clone()
+        .without_faults()
         .estimator(accum::estimate::EstimateConfig::exact());
     let pg = prepare_grid(a, b, &exact_cfg)?;
     let order = match (config.mode, config.reorder_chunks) {
         (crate::ExecMode::Async, true) => crate::ChunkGrid::grouped_desc(&pg.grid.sorted_desc()),
         _ => pg.grid.natural_order(),
     };
-    let mut sim = GpuSim::new(config.device.clone(), config.cost.clone());
-    let sim_ns = simulate_order(&mut sim, &pg, &order, config)?;
+    let sim_ns = run_device(a, &pg, &order, &exact_cfg)?.sim_ns;
 
     let mut row_bounds: Vec<usize> = pg.plan.row_ranges.iter().map(|r| r.start).collect();
     row_bounds.push(pg.plan.row_ranges.last().map_or(0, |r| r.end));

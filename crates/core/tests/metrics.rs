@@ -211,13 +211,18 @@ fn fault_run_reports_per_chunk_recovery_counters() {
     assert!(chunks
         .iter()
         .all(|c| (c.demotions > 0) == c.demotion_cause.is_some()));
-    // A fault-free exact run reports no per-chunk counters; the
-    // speculative default routes through the recovering pass and
-    // reports one attempt per chunk even when clean.
+    // Every async run goes through the one pass-based pipeline, so a
+    // fault-free exact run reports one clean attempt per chunk, and the
+    // speculative default at least one.
     let clean = OutOfCoreGpu::new(base_config().estimator(EstimateConfig::exact()))
         .multiply(&a, &a)
         .unwrap();
-    assert!(clean.metrics.chunks.is_empty());
+    assert_eq!(clean.metrics.chunks.len(), clean.plan.num_chunks());
+    assert!(clean
+        .metrics
+        .chunks
+        .iter()
+        .all(|c| c.attempts == 1 && c.resplits == 0));
     let spec = OutOfCoreGpu::new(base_config()).multiply(&a, &a).unwrap();
     assert!(spec.metrics.chunks.iter().all(|c| c.attempts >= 1));
 }

@@ -46,10 +46,9 @@ fn tiny_suite_full_pipeline() {
         );
 
         // Async pipelines pre-allocate: alloc barriers come only from
-        // pool setup/teardown (at most two per pipeline pass — the
-        // speculative default routes through the recovering pipeline,
-        // which mallocs and frees its pool each pass and runs one
-        // extra pass per recovery action), never per chunk.
+        // pool setup/teardown (at most two per pipeline pass — a pass
+        // mallocs its pool and frees it before a further pass, and
+        // each recovery action can add one pass), never per chunk.
         let barriers = run.timeline.of_kind(OpKind::AllocBarrier).count() as u64;
         let passes = 1
             + run.recovery.estimate_overflows
