@@ -51,17 +51,6 @@ fn align256(bytes: u64) -> u64 {
     bytes.div_ceil(256) * 256
 }
 
-/// Splits the pool bytes left after the A slot across `depth` epochs.
-/// Integer division drops up to `depth - 1` remainder bytes; epoch 0
-/// absorbs them so no pool capacity is silently lost.
-fn epoch_sizes(pool_bytes: u64, a_slot_bytes: u64, depth: usize) -> Vec<u64> {
-    let usable = pool_bytes - a_slot_bytes;
-    let per_epoch = usable / depth as u64;
-    let mut sizes = vec![per_epoch; depth];
-    sizes[0] += usable % depth as u64;
-    sizes
-}
-
 /// Which device footprint a chunk is admitted with.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Footprint {
@@ -164,8 +153,8 @@ pub(crate) struct PipelineSession<'s> {
     streams: Vec<Stream>,
     pool: DeviceAlloc,
     a_slot_bytes: u64,
-    /// Admission bound: chunks rotate over epochs, so every chunk must
-    /// fit the smallest one (epoch 0 also holds the split remainder).
+    /// Admission bound: the pool bytes left after the A slot, split
+    /// evenly across the `depth` rotating epochs.
     epoch_bytes: u64,
     a_high_water: u64,
     epoch_high_water: Vec<u64>,
@@ -227,9 +216,7 @@ impl<'s> PipelineSession<'s> {
             }
         };
         let a_slot_bytes = align256(max_a_bytes).min(pool_bytes);
-        let epoch_bytes = *epoch_sizes(pool_bytes, a_slot_bytes, depth)
-            .last()
-            .expect("depth >= 2");
+        let epoch_bytes = (pool_bytes - a_slot_bytes) / depth as u64;
         let streams = (0..depth).map(|_| sim.create_stream()).collect();
         Ok(PipelineSession {
             sim,
@@ -696,12 +683,22 @@ mod tests {
 
     #[test]
     fn empty_chunk_list_is_noop() {
+        // An empty work list opens no session: no pool allocation, no
+        // time. `ratio_search` relies on this for its all-CPU split.
+        let a = erdos_renyi(200, 200, 0.02, 3);
+        let cfg = OocConfig::with_device_memory(1 << 20);
+        let pg = crate::executor::prepare_grid(&a, &a, &cfg).unwrap();
+        let device = crate::executor::run_device(&a, &pg, &[], &cfg).unwrap();
+        assert_eq!(device.sim_ns, 0);
+        assert!(device.timeline.records.is_empty(), "{:?}", device.timeline);
+        assert_eq!(device.metrics.pool_high_water_bytes, 0);
+
+        // A session itself costs only its up-front pool allocation.
         let mut sim = new_sim();
         run(&mut sim, &[], 2);
         let t = sim.timeline();
-        assert_eq!(t.of_kind(OpKind::Kernel).count(), 0);
-        assert_eq!(t.of_kind(OpKind::CopyH2D).count(), 0);
-        assert_eq!(t.of_kind(OpKind::CopyD2H).count(), 0);
+        assert_eq!(t.records.len(), 1);
+        assert_eq!(t.of_kind(OpKind::AllocBarrier).count(), 1);
         assert_eq!(sim.pool_high_water(), 0);
     }
 
@@ -733,23 +730,27 @@ mod tests {
     }
 
     #[test]
-    fn epoch_split_loses_no_pool_capacity() {
-        // The division remainder (up to depth-1 bytes) goes to epoch 0.
-        for (pool, a_slot, depth) in [
+    fn epoch_split_fits_the_pool() {
+        // The A slot plus `depth` equal epochs fill the pool, short of
+        // at most the `depth - 1` bytes integer division drops.
+        for (device, a_slot, depth) in [
             (1_000_003u64, 256u64, 2usize),
             (96 << 20, 0, 3),
             (7_777_777, 4_096, 4),
-            (512, 512, 2),
         ] {
-            let sizes = epoch_sizes(pool, a_slot, depth);
-            assert_eq!(sizes.len(), depth);
-            assert_eq!(
-                sizes.iter().sum::<u64>() + a_slot,
-                pool,
-                "capacity lost for pool {pool} a_slot {a_slot} depth {depth}"
+            let mut sim = GpuSim::new(DeviceProps::v100_scaled(device), CostModel::calibrated());
+            let mut report = RecoveryReport::default();
+            let session =
+                PipelineSession::new(&mut sim, &config(depth), a_slot, None, &mut report).unwrap();
+            let (slot, epoch) = (session.a_slot_bytes, session.epoch_bytes);
+            session.finish();
+            let pool = sim.memory().in_use();
+            assert_eq!(slot, a_slot);
+            let used = slot + epoch * depth as u64;
+            assert!(
+                used <= pool && pool - used < depth as u64,
+                "pool {pool} a_slot {a_slot} depth {depth}: epochs of {epoch}"
             );
-            assert!(sizes[0] >= sizes[depth - 1]);
-            assert!(sizes[1..].iter().all(|&s| s == sizes[1]));
         }
     }
 

@@ -168,9 +168,9 @@ fn work_stealing(config: &HybridConfig, pg: &PreparedGrid, order: &[ChunkInfo]) 
             Some(t) => head < prefetch || t.max(cpu_clock) <= gpu_clock.max(cpu_steal_clock),
             // The model's pool cannot hold this prefix (or cannot even
             // host one A panel): stop claiming and let the CPU drain
-            // the rest. (The real execution re-splits oversized chunks
-            // under a fault plan; the planning model stays
-            // conservative.)
+            // the rest. (The executor re-splits any chunk that does not
+            // fit; the auction stays conservative and closes the GPU
+            // instead.)
             None => {
                 gpu_open = false;
                 false

@@ -17,9 +17,12 @@
 //!   (de)allocation is a device-wide synchronization barrier — "two
 //!   commands from different streams can not run concurrently if the
 //!   host issues any device memory allocation and deallocations";
-//! * a pre-allocated **bump pool** ([`MemoryPool`]) — the paper's
-//!   "large chunk of memory ... shared by all dynamic data structures,
-//!   for each data structure we maintain an offset";
+//! * **pool hooks** for the paper's pre-allocated "large chunk of
+//!   memory ... shared by all dynamic data structures": the pool is one
+//!   ordinary allocation whose offsets the host-side pipeline
+//!   (`oocgemm::pipeline::PipelineSession`) manages; the simulator only
+//!   injects reservation faults ([`GpuSim::check_pool_reserve`]) and
+//!   keeps the reported high-water mark;
 //! * **pinned vs pageable** host buffers (pageable copies get degraded
 //!   bandwidth);
 //! * an analytic [`CostModel`] calibrated against the paper's V100 +
@@ -61,7 +64,7 @@ pub mod trace;
 
 pub use cost::{CostModel, CpuKernelClass, CpuKernelCost, CpuKernelTable, KernelClass, KernelKind};
 pub use fault::{CapacityShrink, FaultKind, FaultPlan, FaultState, FaultStats, SimFault};
-pub use memory::{DeviceAlloc, DeviceMemory, MemoryPool, OutOfDeviceMemory};
+pub use memory::{DeviceAlloc, DeviceMemory, OutOfDeviceMemory};
 pub use metrics::{EngineMetrics, KernelClassMetrics, StreamMetrics, TimelineMetrics};
 pub use props::DeviceProps;
 pub use sim::{CopyDir, Event, GpuSim, HostMem, Stream};
