@@ -5,6 +5,7 @@
 //! allocated exactly. These counters are the value-free analogues of
 //! the numeric accumulators.
 
+use crate::hash::window_for;
 use sparse::ColId;
 
 /// Counts distinct column ids for one row at a time.
@@ -82,41 +83,71 @@ impl SymbolicCounter for DenseCounter {
 const EMPTY: ColId = ColId::MAX;
 
 /// Open-addressing hash-set counter.
+///
+/// Like [`crate::HashAccumulator`], probing runs inside an active
+/// window of the first `mask + 1` slots, and every slot outside it is
+/// `EMPTY`. [`SymbolicCounter::reset`] clears only the window and then
+/// fits it to the row just counted, so after one wide row a pooled
+/// counter pays that row's window once, not on every later row.
 #[derive(Clone, Debug)]
 pub struct HashCounter {
     keys: Vec<ColId>,
     mask: usize,
     count: usize,
+    /// Live keys parked during a rehash (kept at high-water capacity).
+    rehash: Vec<ColId>,
 }
 
 impl HashCounter {
     /// Creates a set sized for about `expected` distinct columns.
     pub fn with_expected(expected: usize) -> Self {
-        let cap = (expected.max(4) * 2).next_power_of_two();
+        let cap = window_for(expected);
         HashCounter {
             keys: vec![EMPTY; cap],
             mask: cap - 1,
             count: 0,
+            rehash: Vec::new(),
         }
     }
 
+    /// Slots in the active window (what reset scans).
+    fn window(&self) -> usize {
+        self.mask + 1
+    }
+
+    /// Makes the first `window` slots active; slots past the old window
+    /// are `EMPTY` by invariant.
+    fn set_window(&mut self, window: usize) {
+        if window > self.keys.len() {
+            self.keys.resize(window, EMPTY);
+        }
+        self.mask = window - 1;
+    }
+
     fn grow(&mut self) {
-        let new_cap = self.keys.len() * 2;
-        let old = std::mem::replace(&mut self.keys, vec![EMPTY; new_cap]);
-        self.mask = new_cap - 1;
-        self.count = 0;
-        for k in old {
+        let window = self.window();
+        self.rehash.clear();
+        for slot in &mut self.keys[..window] {
+            let k = std::mem::replace(slot, EMPTY);
             if k != EMPTY {
-                self.insert(k);
+                self.rehash.push(k);
             }
         }
+        self.set_window(window * 2);
+        self.count = 0;
+        let mut parked = std::mem::take(&mut self.rehash);
+        for &k in &parked {
+            self.insert(k);
+        }
+        parked.clear();
+        self.rehash = parked;
     }
 }
 
 impl SymbolicCounter for HashCounter {
     fn insert(&mut self, col: ColId) {
         debug_assert_ne!(col, EMPTY, "column id u32::MAX is reserved");
-        if (self.count + 1) * 2 > self.keys.len() {
+        if (self.count + 1) * 2 > self.window() {
             self.grow();
         }
         let mut i = (col.wrapping_mul(2654435769) as usize) & self.mask;
@@ -138,7 +169,11 @@ impl SymbolicCounter for HashCounter {
     }
 
     fn reset(&mut self) {
-        self.keys.fill(EMPTY);
+        let window = self.window();
+        self.keys[..window].fill(EMPTY);
+        // Consecutive rows tend to be alike: start the next one in a
+        // window that fits this one.
+        self.set_window(window_for(self.count).min(window));
         self.count = 0;
     }
 }
@@ -176,6 +211,27 @@ mod tests {
             c.insert(i % 357);
         }
         assert_eq!(c.count(), 357);
+    }
+
+    #[test]
+    fn hash_counter_reset_fits_window_to_the_last_row() {
+        let mut c = HashCounter::with_expected(4);
+        for col in 0..10_000u32 {
+            c.insert(col * 5);
+        }
+        assert_eq!(c.count(), 10_000);
+        let wide = c.window();
+        c.reset();
+        assert_eq!(c.window(), wide, "the wide row's window is cleared once");
+        for col in [7u32, 3, 7] {
+            c.insert(col);
+        }
+        assert_eq!(c.count(), 2);
+        c.reset();
+        assert_eq!(c.window(), 8, "a narrow row shrinks the window");
+        assert!(c.keys.iter().all(|&k| k == EMPTY));
+        c.insert(3);
+        assert_eq!(c.count(), 1);
     }
 
     #[test]

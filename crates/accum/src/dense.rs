@@ -46,6 +46,26 @@ impl DenseAccumulator {
         }
     }
 
+    /// Drains the accumulated row — sorted by column — into the exact
+    /// output slices `cols`/`vals` (`len()` entries each), then resets
+    /// for the next row. The slice-writing twin of
+    /// [`Accumulator::flush_into`], with no staging copy.
+    pub fn flush_to_slices(&mut self, cols: &mut [ColId], vals: &mut [f64]) {
+        assert_eq!(
+            cols.len(),
+            self.touched.len(),
+            "output slice must fit the row"
+        );
+        assert_eq!(vals.len(), cols.len(), "output slices must align");
+        self.touched.sort_unstable();
+        for ((c, v), &t) in cols.iter_mut().zip(vals.iter_mut()).zip(&self.touched) {
+            *c = t;
+            *v = self.values[t as usize];
+        }
+        self.touched.clear();
+        self.bump_generation();
+    }
+
     fn bump_generation(&mut self) {
         self.generation = match self.generation.checked_add(1) {
             Some(g) => g,
@@ -81,15 +101,10 @@ impl Accumulator for DenseAccumulator {
     }
 
     fn flush_into(&mut self, cols: &mut Vec<ColId>, vals: &mut Vec<f64>) {
-        self.touched.sort_unstable();
-        cols.reserve(self.touched.len());
-        vals.reserve(self.touched.len());
-        for &c in &self.touched {
-            cols.push(c);
-            vals.push(self.values[c as usize]);
-        }
-        self.touched.clear();
-        self.bump_generation();
+        let start = cols.len();
+        cols.resize(start + self.touched.len(), 0);
+        vals.resize(start + self.touched.len(), 0.0);
+        self.flush_to_slices(&mut cols[start..], &mut vals[start..]);
     }
 
     fn clear(&mut self) {
@@ -162,6 +177,22 @@ mod tests {
         a.flush_into(&mut c, &mut v);
         assert_eq!(c, vec![2]);
         assert_eq!(v, vec![0.0]);
+    }
+
+    #[test]
+    fn flush_to_slices_writes_sorted_row_and_resets() {
+        let mut a = DenseAccumulator::new(16);
+        for (col, val) in [(11u32, 1.0), (4, 2.0), (11, 0.25)] {
+            a.add(col, val);
+        }
+        let (mut c, mut v) = ([0u32; 2], [0.0f64; 2]);
+        a.flush_to_slices(&mut c, &mut v);
+        assert_eq!((c, v), ([4, 11], [2.0, 1.25]));
+        assert!(a.is_empty());
+        a.add(4, 5.0);
+        let (mut c, mut v) = ([0u32; 1], [0.0f64; 1]);
+        a.flush_to_slices(&mut c, &mut v);
+        assert_eq!((c, v), ([4], [5.0]));
     }
 
     #[test]

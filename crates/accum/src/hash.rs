@@ -12,15 +12,25 @@ const EMPTY: ColId = ColId::MAX;
 
 /// Open-addressing (linear probing) hash accumulator.
 ///
-/// Capacity is always a power of two; the table grows when the load
-/// factor would exceed 1/2. The hash is a Fibonacci multiplicative mix,
-/// cheap and adequate for integer keys.
+/// Probing runs inside an *active window*: the first `mask + 1` slots
+/// of the backing arrays, a power of two. The window grows (doubling)
+/// when the load factor would exceed 1/2, and [`begin_row`] resizes it
+/// to a row's expected output. Flush and clear touch only the window;
+/// every slot outside it is always `EMPTY`. So a pooled accumulator
+/// that once served a very wide row keeps that capacity for reuse, yet
+/// each later row pays only for its own window. The hash is a
+/// Fibonacci multiplicative mix, cheap and adequate for integer keys.
+///
+/// [`begin_row`]: HashAccumulator::begin_row
 #[derive(Clone, Debug)]
 pub struct HashAccumulator {
     keys: Vec<ColId>,
     vals: Vec<f64>,
     mask: usize,
     len: usize,
+    /// Live entries parked during a rehash; kept at its high-water
+    /// capacity so growth allocates nothing at steady state.
+    rehash: Vec<(ColId, f64)>,
 }
 
 #[inline]
@@ -29,42 +39,101 @@ fn hash(col: ColId, mask: usize) -> usize {
     (col.wrapping_mul(2654435769) as usize) & mask
 }
 
+/// Window (slot count) that holds `expected` distinct columns at a load
+/// factor of at most 1/2.
+#[inline]
+pub(crate) fn window_for(expected: usize) -> usize {
+    (expected.max(4) * 2).next_power_of_two()
+}
+
 impl HashAccumulator {
     /// Creates a table sized for about `expected` distinct columns
     /// (the upper-bound estimate from the symbolic analysis).
     pub fn with_expected(expected: usize) -> Self {
-        let cap = (expected.max(4) * 2).next_power_of_two();
+        let cap = window_for(expected);
         HashAccumulator {
             keys: vec![EMPTY; cap],
             vals: vec![0.0; cap],
             mask: cap - 1,
             len: 0,
+            rehash: Vec::new(),
         }
     }
 
-    /// Current table capacity (slots).
+    /// Slots allocated behind the table — the high-water window.
     pub fn capacity(&self) -> usize {
         self.keys.len()
     }
 
+    /// Slots in the active window (what flush and clear scan).
+    fn window(&self) -> usize {
+        self.mask + 1
+    }
+
+    /// Starts a row expected to hold about `expected` distinct columns:
+    /// sets the active window to fit it, shrinking after a wide row or
+    /// widening (within the retained capacity when possible). The
+    /// accumulator must be empty.
+    pub fn begin_row(&mut self, expected: usize) {
+        assert_eq!(self.len, 0, "begin_row on a non-empty accumulator");
+        self.set_window(window_for(expected));
+    }
+
+    /// Makes the first `window` slots active. Slots past the old window
+    /// are `EMPTY` by invariant, so only the backing arrays may need to
+    /// grow.
+    fn set_window(&mut self, window: usize) {
+        if window > self.keys.len() {
+            self.keys.resize(window, EMPTY);
+            self.vals.resize(window, 0.0);
+        }
+        self.mask = window - 1;
+    }
+
     fn grow(&mut self) {
-        let new_cap = self.keys.len() * 2;
-        let old_keys = std::mem::replace(&mut self.keys, vec![EMPTY; new_cap]);
-        let old_vals = std::mem::replace(&mut self.vals, vec![0.0; new_cap]);
-        self.mask = new_cap - 1;
-        self.len = 0;
-        for (k, v) in old_keys.into_iter().zip(old_vals) {
+        let window = self.window();
+        self.rehash.clear();
+        for i in 0..window {
+            let k = std::mem::replace(&mut self.keys[i], EMPTY);
             if k != EMPTY {
-                self.add(k, v);
+                self.rehash.push((k, self.vals[i]));
             }
         }
+        self.set_window(window * 2);
+        self.len = 0;
+        let mut parked = std::mem::take(&mut self.rehash);
+        for &(k, v) in &parked {
+            self.add(k, v);
+        }
+        parked.clear();
+        self.rehash = parked;
+    }
+
+    /// Drains the accumulated row — sorted by column — into the exact
+    /// output slices `cols`/`vals` (`len()` entries each), then clears
+    /// the window. The slice-writing twin of
+    /// [`Accumulator::flush_into`], with no staging copy.
+    pub fn flush_to_slices(&mut self, cols: &mut [ColId], vals: &mut [f64]) {
+        assert_eq!(cols.len(), self.len, "output slice must fit the row");
+        assert_eq!(vals.len(), self.len, "output slices must align");
+        let mut n = 0usize;
+        for i in 0..self.window() {
+            let k = std::mem::replace(&mut self.keys[i], EMPTY);
+            if k != EMPTY {
+                cols[n] = k;
+                vals[n] = self.vals[i];
+                n += 1;
+            }
+        }
+        self.len = 0;
+        crate::sort::co_sort_pairs(cols, vals);
     }
 }
 
 impl Accumulator for HashAccumulator {
     fn add(&mut self, col: ColId, val: f64) {
         debug_assert_ne!(col, EMPTY, "column id u32::MAX is reserved");
-        if (self.len + 1) * 2 > self.keys.len() {
+        if (self.len + 1) * 2 > self.window() {
             self.grow();
         }
         let mut i = hash(col, self.mask);
@@ -89,24 +158,17 @@ impl Accumulator for HashAccumulator {
 
     fn flush_into(&mut self, cols: &mut Vec<ColId>, vals: &mut Vec<f64>) {
         let start = cols.len();
-        cols.reserve(self.len);
-        vals.reserve(self.len);
-        for (i, &k) in self.keys.iter().enumerate() {
-            if k != EMPTY {
-                cols.push(k);
-                vals.push(self.vals[i]);
-            }
-        }
-        // Sort the appended region by column id in place, permuting the
-        // values in tandem. Keys are distinct, so this is bit-identical
-        // to the permutation-vector sort it replaced — without that
-        // path's three per-row heap allocations.
-        crate::sort::co_sort_pairs(&mut cols[start..], &mut vals[start..]);
-        self.clear();
+        cols.resize(start + self.len, 0);
+        vals.resize(start + self.len, 0.0);
+        // Sorting in place, values in tandem, is bit-identical to the
+        // permutation-vector sort it replaced (keys are distinct) —
+        // without that path's three per-row heap allocations.
+        self.flush_to_slices(&mut cols[start..], &mut vals[start..]);
     }
 
     fn clear(&mut self) {
-        self.keys.fill(EMPTY);
+        let window = self.window();
+        self.keys[..window].fill(EMPTY);
         self.len = 0;
     }
 }
@@ -225,6 +287,74 @@ mod tests {
                 "row {row}: values must be bit-identical"
             );
         }
+    }
+
+    #[test]
+    fn narrow_row_after_wide_row_uses_a_small_window() {
+        let mut pooled = HashAccumulator::with_expected(4);
+        pooled.begin_row(10_000);
+        for col in 0..10_000u32 {
+            pooled.add(col * 3, f64::from(col));
+        }
+        let (mut c, mut v) = (Vec::new(), Vec::new());
+        pooled.flush_into(&mut c, &mut v);
+        assert_eq!(c.len(), 10_000);
+        let high_water = pooled.capacity();
+        assert!(high_water >= 20_000);
+
+        let row = [(90u32, 1.0), (5, 2.0), (90, 0.5), (42, 3.0)];
+        let mut fresh = HashAccumulator::with_expected(3);
+        pooled.begin_row(3);
+        for (col, val) in row {
+            pooled.add(col, val);
+            fresh.add(col, val);
+        }
+        let (mut pc, mut pv) = (Vec::new(), Vec::new());
+        let (mut fc, mut fv) = (Vec::new(), Vec::new());
+        pooled.flush_into(&mut pc, &mut pv);
+        fresh.flush_into(&mut fc, &mut fv);
+        assert_eq!(pc, fc);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&pv), bits(&fv));
+        // The narrow row ran in its own small window; the wide row's
+        // capacity is retained for reuse, not scanned.
+        assert_eq!(pooled.window(), fresh.window());
+        assert_eq!(pooled.window(), 8);
+        assert_eq!(pooled.capacity(), high_water);
+        assert!(
+            pooled.keys.iter().all(|&k| k == EMPTY),
+            "flush leaves no key behind"
+        );
+    }
+
+    #[test]
+    fn growth_widens_the_window_within_retained_capacity() {
+        let mut a = HashAccumulator::with_expected(1000);
+        let cap = a.capacity();
+        a.begin_row(2);
+        assert_eq!(a.window(), 8);
+        for col in 0..100u32 {
+            a.add(col * 7, 1.0);
+            a.add(col * 7, 0.5);
+        }
+        assert!(a.window() >= 200 && a.window() <= cap);
+        assert_eq!(a.capacity(), cap, "growth reused the retained slots");
+        let (mut c, mut v) = (Vec::new(), Vec::new());
+        a.flush_into(&mut c, &mut v);
+        assert_eq!(c, (0..100u32).map(|x| x * 7).collect::<Vec<_>>());
+        assert!(v.iter().all(|&x| x == 1.5));
+    }
+
+    #[test]
+    fn flush_to_slices_writes_sorted_row() {
+        let mut a = HashAccumulator::with_expected(4);
+        for (col, val) in [(9u32, 1.0), (2, 2.0), (9, 3.0)] {
+            a.add(col, val);
+        }
+        let (mut c, mut v) = ([0u32; 2], [0.0f64; 2]);
+        a.flush_to_slices(&mut c, &mut v);
+        assert_eq!((c, v), ([2, 9], [2.0, 4.0]));
+        assert!(a.is_empty());
     }
 
     #[test]

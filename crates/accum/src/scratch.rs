@@ -12,8 +12,10 @@
 //!
 //! Reuse is safe for bit-identical results: dense counters and
 //! accumulators are generation-stamped (stale slots read as untouched),
-//! and hash flushes sort by distinct column id, so neither a carried
-//! capacity nor a previous panel's width can change any output.
+//! hash tables probe only a per-row active window whose outside slots
+//! are always empty, and both accumulators flush sorted by distinct
+//! column id straight into the row's output slices, so neither a
+//! carried capacity nor a previous panel's width can change any output.
 
 use crate::counter::SymbolicCounter;
 use crate::{
@@ -42,7 +44,7 @@ pub fn select_accumulator(expected: usize, width: usize) -> AccumulatorKind {
 }
 
 /// One worker's reusable scratch: symbolic counters, numeric
-/// accumulators, row staging buffers, and per-chunk row arrays.
+/// accumulators, and per-chunk row arrays.
 #[derive(Debug)]
 pub struct RowScratch {
     dense_counter: DenseCounter,
@@ -50,10 +52,6 @@ pub struct RowScratch {
     dense: DenseAccumulator,
     hash: HashAccumulator,
     merge: MergeBuffer,
-    /// Staging columns for the row being flushed.
-    pub cols: Vec<ColId>,
-    /// Staging values for the row being flushed.
-    pub vals: Vec<f64>,
     /// Reusable per-row `u64` buffer (chunk preparation keeps row flop
     /// counts here).
     pub flops_buf: Vec<u64>,
@@ -70,8 +68,6 @@ impl Default for RowScratch {
             dense: DenseAccumulator::new(0),
             hash: HashAccumulator::with_expected(64),
             merge: MergeBuffer::new(),
-            cols: Vec::new(),
-            vals: Vec::new(),
             flops_buf: Vec::new(),
             nnz_buf: Vec::new(),
         }
@@ -111,10 +107,11 @@ impl RowScratch {
     /// Accumulates one numeric row from a stream of `(col, val)`
     /// products and writes the sorted result into the caller's exact
     /// output slices (`out_c.len() == out_v.len() ==` the row's
-    /// symbolic size). `expected` selects dense vs hash accumulation.
+    /// symbolic size). `expected` selects dense vs hash accumulation
+    /// through [`select_accumulator`].
     ///
-    /// Allocation-free at steady state: the accumulators and staging
-    /// vectors retain their high-water capacity across rows and chunks.
+    /// Allocation-free at steady state: the accumulators retain their
+    /// high-water capacity across rows and chunks.
     pub fn accumulate_row_into(
         &mut self,
         products: impl IntoIterator<Item = (ColId, f64)>,
@@ -123,29 +120,44 @@ impl RowScratch {
         out_c: &mut [ColId],
         out_v: &mut [f64],
     ) {
-        self.cols.clear();
-        self.vals.clear();
         match select_accumulator(expected, width) {
-            AccumulatorKind::Dense => {
-                self.dense.ensure_width(width);
-                let acc = &mut self.dense;
-                // Internal iteration: see `count_row`.
-                products.into_iter().for_each(|(c, v)| acc.add(c, v));
-                self.dense.flush_into(&mut self.cols, &mut self.vals);
-            }
-            AccumulatorKind::Hash => {
-                let acc = &mut self.hash;
-                products.into_iter().for_each(|(c, v)| acc.add(c, v));
-                self.hash.flush_into(&mut self.cols, &mut self.vals);
-            }
+            AccumulatorKind::Dense => self.dense_row_into(products, width, out_c, out_v),
+            AccumulatorKind::Hash => self.hash_row_into(products, out_c, out_v),
         }
-        debug_assert_eq!(
-            self.cols.len(),
-            out_c.len(),
-            "symbolic/numeric row size mismatch"
-        );
-        out_c.copy_from_slice(&self.cols);
-        out_v.copy_from_slice(&self.vals);
+    }
+
+    /// Accumulates one numeric row in the dense array (grown to
+    /// `width`) and flushes it sorted straight into the row's exact
+    /// output slices. Bit-identical to [`RowScratch::hash_row_into`]:
+    /// both fold each column's products in stream order and write
+    /// columns ascending.
+    pub fn dense_row_into(
+        &mut self,
+        products: impl IntoIterator<Item = (ColId, f64)>,
+        width: usize,
+        out_c: &mut [ColId],
+        out_v: &mut [f64],
+    ) {
+        self.dense.ensure_width(width);
+        let acc = &mut self.dense;
+        // Internal iteration: see `count_row`.
+        products.into_iter().for_each(|(c, v)| acc.add(c, v));
+        acc.flush_to_slices(out_c, out_v);
+    }
+
+    /// Accumulates one numeric row in the hash table, its active window
+    /// sized from the exact output size `out_c.len()`, and flushes it
+    /// sorted straight into the row's output slices.
+    pub fn hash_row_into(
+        &mut self,
+        products: impl IntoIterator<Item = (ColId, f64)>,
+        out_c: &mut [ColId],
+        out_v: &mut [f64],
+    ) {
+        let acc = &mut self.hash;
+        acc.begin_row(out_c.len());
+        products.into_iter().for_each(|(c, v)| acc.add(c, v));
+        acc.flush_to_slices(out_c, out_v);
     }
 
     /// Accumulates one numeric row by chained merging of the scaled

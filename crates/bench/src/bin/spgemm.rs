@@ -492,12 +492,17 @@ fn main() {
                     eprintln!("executor failed: {e}");
                     std::process::exit(1)
                 });
+            // One share per copy engine: their sum (the Figure 4
+            // transfer fraction) can exceed 100% when H2D and D2H
+            // overlap, so it is no share of the makespan.
+            let t = &run.metrics.timeline;
             println!(
-                "plan: {} x {} panels ({} chunks); transfers {:.1}% of makespan",
+                "plan: {} x {} panels ({} chunks); copy engines busy H2D {:.1}% / D2H {:.1}% of makespan",
                 run.plan.row_panels(),
                 run.plan.col_panels(),
                 run.plan.num_chunks(),
-                run.transfer_fraction() * 100.0
+                t.h2d.busy_share() * 100.0,
+                t.d2h.busy_share() * 100.0
             );
             (
                 run.c,

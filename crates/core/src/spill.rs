@@ -23,6 +23,17 @@
 //! directory and recomputes only the panels whose shards are missing
 //! from the manifest, absent on disk, or fail their checksum —
 //! everything intact is kept as-is.
+//!
+//! # One writer at a time
+//!
+//! [`multiply_to_disk`] and [`SpilledMatrix::resume`] hold an exclusive
+//! lock on the directory while they write: a `spill.lock` file next to
+//! the manifest, created with `O_EXCL` semantics and removed when the
+//! call returns. A second writer that overlaps gets an
+//! [`OocError::Spill`] up front instead of interleaving shards and
+//! manifest rewrites with the first. A lock left behind by a process
+//! that no longer exists (a killed run) is taken over, so crash-resume
+//! keeps working.
 
 use crate::assemble::assemble;
 use crate::chunks::ChunkId;
@@ -41,6 +52,8 @@ use std::path::{Path, PathBuf};
 const MANIFEST_VERSION: &str = "SPILL1";
 /// Manifest file name inside the spill directory.
 const MANIFEST_FILE: &str = "manifest.spill";
+/// Writer lock file name inside the spill directory.
+const LOCK_FILE: &str = "spill.lock";
 
 /// FNV-1a 64-bit hash — tiny, dependency-free shard checksum.
 fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -54,6 +67,77 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 
 fn spill_err(msg: impl Into<String>) -> OocError {
     OocError::Spill(msg.into())
+}
+
+/// Exclusive writer lock on a spill directory: a lock file created
+/// with `create_new` (`O_EXCL`) that records the owner's pid and is
+/// removed on drop.
+#[derive(Debug)]
+struct SpillLock {
+    path: PathBuf,
+}
+
+impl SpillLock {
+    /// Takes the lock on `dir`, or fails with [`OocError::Spill`] if a
+    /// live writer holds it. A stale lock (see [`SpillLock::is_stale`])
+    /// is removed and the lock retried once.
+    fn acquire(dir: &Path) -> Result<Self> {
+        let path = dir.join(LOCK_FILE);
+        for _ in 0..2 {
+            match std::fs::OpenOptions::new()
+                .write(true)
+                .create_new(true)
+                .open(&path)
+            {
+                Ok(mut file) => {
+                    use std::io::Write as _;
+                    // The lock is the file's existence; the pid only
+                    // lets a later writer recognise a dead owner.
+                    let _ = write!(file, "{}", std::process::id());
+                    return Ok(SpillLock { path });
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
+                    if !Self::is_stale(&path) {
+                        break;
+                    }
+                    let _ = std::fs::remove_file(&path);
+                }
+                Err(e) => {
+                    return Err(spill_err(format!(
+                        "cannot create lock {}: {e}",
+                        path.display()
+                    )))
+                }
+            }
+        }
+        Err(spill_err(format!(
+            "spill directory {} is locked by another writer ({})",
+            dir.display(),
+            path.display()
+        )))
+    }
+
+    /// True when the lock names an owner process that no longer exists
+    /// — judged through `/proc`, so on hosts without it no lock is ever
+    /// presumed stale. Taking over a stale lock is remove-then-create,
+    /// not one atomic step: two writers that find the same stale lock
+    /// at the same moment may both get through.
+    fn is_stale(path: &Path) -> bool {
+        let proc = Path::new("/proc");
+        let owner = std::fs::read_to_string(path)
+            .ok()
+            .and_then(|text| text.trim().parse::<u32>().ok());
+        match owner {
+            Some(pid) => proc.join("self").exists() && !proc.join(pid.to_string()).exists(),
+            None => false,
+        }
+    }
+}
+
+impl Drop for SpillLock {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.path);
+    }
 }
 
 /// Per-shard record in the manifest.
@@ -347,7 +431,8 @@ impl SpilledMatrix {
     ///
     /// The inputs and config must match the original run — the panel
     /// layout derived from them is checked against the manifest and a
-    /// mismatch is an [`OocError::Spill`].
+    /// mismatch is an [`OocError::Spill`]. Like [`multiply_to_disk`],
+    /// resume holds the directory's writer lock for the whole call.
     pub fn resume(
         a: &CsrMatrix,
         b: &CsrMatrix,
@@ -358,6 +443,7 @@ impl SpilledMatrix {
         use sparse::CsrView;
 
         config.validate()?;
+        let _lock = SpillLock::acquire(dir)?;
         let mut spilled = Self::open(dir)?;
         let planner = Planner::new(a, b)?;
         let plan = match config.panels {
@@ -453,7 +539,8 @@ pub struct SpilledRun {
 /// one shard per row panel. Peak host memory for the output is one
 /// row panel plus one chunk. The manifest is rewritten after every
 /// shard, so an interrupted run can be completed with
-/// [`SpilledMatrix::resume`].
+/// [`SpilledMatrix::resume`]. The directory's writer lock is held for
+/// the whole call; a concurrent writer gets an [`OocError::Spill`].
 pub fn multiply_to_disk(
     a: &CsrMatrix,
     b: &CsrMatrix,
@@ -462,6 +549,7 @@ pub fn multiply_to_disk(
 ) -> Result<SpilledRun> {
     std::fs::create_dir_all(dir)
         .map_err(|e| OocError::Config(format!("cannot create {}: {e}", dir.display())))?;
+    let _lock = SpillLock::acquire(dir)?;
     // The spill path sizes disk segments from exact chunk outputs, so
     // it always plans exactly regardless of the configured estimator.
     // Its device schedule is simulated fault-free: the configured host
@@ -852,6 +940,86 @@ mod tests {
             other => panic!("expected Spill mismatch error, got {other:?}"),
         }
         SpilledMatrix::open(&dir).unwrap().remove().unwrap();
+        std::fs::remove_dir(&dir).ok();
+    }
+
+    #[test]
+    fn concurrent_writers_get_a_typed_lock_error() {
+        let a = erdos_renyi(300, 300, 0.05, 41);
+        let cfg = OocConfig::with_device_memory(1 << 18);
+        let dir = temp_dir("lock");
+        let expect = reference::multiply(&a, &a).unwrap();
+        let locked = |r: Result<SpilledRun>| match r {
+            Err(OocError::Spill(msg)) => assert!(msg.contains("locked"), "{msg}"),
+            other => panic!("expected a lock error, got {other:?}"),
+        };
+        // Thread one holds the lock while thread two tries to write.
+        let (held_tx, held_rx) = std::sync::mpsc::channel();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let (a, cfg, dir) = (&a, &cfg, &dir);
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                let lock = SpillLock::acquire(dir).unwrap();
+                held_tx.send(()).unwrap();
+                done_rx.recv().unwrap();
+                drop(lock);
+            });
+            s.spawn(move || {
+                held_rx.recv().unwrap();
+                locked(multiply_to_disk(a, a, cfg, dir));
+                locked(SpilledMatrix::resume(a, a, cfg, dir));
+                assert!(
+                    !SpilledMatrix::manifest_path(dir).exists(),
+                    "nothing written"
+                );
+                done_tx.send(()).unwrap();
+            });
+        });
+        // Released on drop: two racing writers now each either finish
+        // or get the typed error, and the directory ends up intact.
+        let runs: Vec<Result<SpilledRun>> = std::thread::scope(|s| {
+            let writers: Vec<_> = (0..2)
+                .map(|_| s.spawn(move || multiply_to_disk(a, a, cfg, dir)))
+                .collect();
+            writers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        let mut finished = 0;
+        for run in runs {
+            match run {
+                Ok(_) => finished += 1,
+                err => locked(err),
+            }
+        }
+        assert!(finished >= 1);
+        let spilled = SpilledMatrix::open(dir).unwrap();
+        assert!(spilled.missing_or_corrupt().is_empty());
+        assert_eq!(spilled.load_all().unwrap(), expect);
+        assert!(!dir.join(LOCK_FILE).exists(), "lock released");
+        spilled.remove().unwrap();
+        std::fs::remove_dir(dir).ok();
+    }
+
+    #[test]
+    fn lock_of_a_dead_owner_is_taken_over() {
+        if !Path::new("/proc/self").exists() {
+            return;
+        }
+        let a = erdos_renyi(200, 200, 0.05, 47);
+        let cfg = OocConfig::with_device_memory(1 << 19);
+        let dir = temp_dir("stale_lock");
+        multiply_to_disk(&a, &a, &cfg, &dir).unwrap();
+        // A live owner (this process) keeps the directory locked...
+        std::fs::write(dir.join(LOCK_FILE), std::process::id().to_string()).unwrap();
+        assert!(matches!(
+            SpilledMatrix::resume(&a, &a, &cfg, &dir),
+            Err(OocError::Spill(_))
+        ));
+        // ...a pid no process can have, as left by a killed run, does not.
+        std::fs::write(dir.join(LOCK_FILE), u32::MAX.to_string()).unwrap();
+        let resumed = SpilledMatrix::resume(&a, &a, &cfg, &dir).unwrap();
+        assert_eq!(resumed.recomputed_panels, 0);
+        assert!(!dir.join(LOCK_FILE).exists());
+        resumed.c.remove().unwrap();
         std::fs::remove_dir(&dir).ok();
     }
 

@@ -108,6 +108,61 @@ fn degenerate_shapes_match_serial() {
     check(&sparse_rows, &sparse_rows, 2, 1);
 }
 
+/// `A` (`rows x k`) whose row `r` holds `len(r)` entries, times `B`
+/// (`k x width`) with `per_row` entries per row; mixed-sign values that
+/// do not sum exactly, so a changed fold order would show in the bits.
+fn patterned(
+    rows: usize,
+    k: usize,
+    width: usize,
+    per_row: usize,
+    len: impl Fn(usize) -> usize,
+) -> (CsrMatrix, CsrMatrix) {
+    let mut a = CooMatrix::new(rows, k);
+    for r in 0..rows {
+        for j in 0..len(r).min(k) {
+            let v = 0.3 + ((r + 3 * j) % 11) as f64 * 0.173 - 1.1;
+            a.push(r, (r * 131 + j * 37) % k, v).unwrap();
+        }
+    }
+    let mut b = CooMatrix::new(k, width);
+    for row in 0..k {
+        for j in 0..per_row {
+            let col = (row * 7919 + j * 104_729 + j * j * 31) % width;
+            b.push(row, col, 1.0 / (1 + (row + j) % 13) as f64 - 0.21)
+                .unwrap();
+        }
+    }
+    (a.to_csr(), b.to_csr())
+}
+
+#[test]
+fn narrow_panels_the_density_rule_hashed_match_serial() {
+    // 2 x 4 panels of a 4096-wide B: every row of the pooled engine
+    // accumulates densely, while the serial engine hashes most of them.
+    let (a, b) = patterned(900, 300, 4096, 12, |r| 2 + r % 9);
+    // A row with under 64 outputs in all is under 1/16 of every
+    // 1024-wide panel, so the density rule hashes it everywhere.
+    let hashed = sparse::stats::symbolic_row_nnz(&a, &b)
+        .iter()
+        .filter(|&&n| n > 0 && n < 64)
+        .count();
+    assert!(
+        hashed > 300,
+        "fixture must exercise old hash rows: {hashed}"
+    );
+    check(&a, &b, 2, 4);
+}
+
+#[test]
+fn panels_wider_than_the_dense_limit_match_serial() {
+    // One column panel wider than DENSE_WIDTH_LIMIT (hash fallback),
+    // rows ordered large -> small so the pooled hash window shrinks.
+    let width = accum::DENSE_WIDTH_LIMIT + 4099;
+    let (a, b) = patterned(300, 400, width, 30, |r| 300 - r);
+    check(&a, &b, 2, 1);
+}
+
 fn arb_matrix(max_n: usize, max_entries: usize) -> impl Strategy<Value = CsrMatrix> {
     (4..=max_n, 4..=max_n).prop_flat_map(move |(n, m)| {
         prop::collection::vec((0..n, 0..m, -4.0f64..4.0), 1..=max_entries).prop_map(

@@ -28,6 +28,21 @@ pub struct EngineMetrics {
     pub ops: u64,
 }
 
+impl EngineMetrics {
+    /// Share of the makespan (`busy + idle`) this engine was busy, in
+    /// \[0, 1\]; 0 for an empty run. Per engine, so unlike
+    /// [`TimelineMetrics::transfer_fraction`] (both copy engines
+    /// summed) it never exceeds 1 when the two directions overlap.
+    pub fn busy_share(&self) -> f64 {
+        let span = self.busy_ns + self.idle_ns;
+        if span == 0 {
+            0.0
+        } else {
+            self.busy_ns as f64 / span as f64
+        }
+    }
+}
+
 /// Compute time attributed to one kernel phase family.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct KernelClassMetrics {
@@ -316,6 +331,25 @@ mod tests {
         assert_eq!(m.d2h_bytes, 30_000);
         assert_eq!(m.d2h.ops, 1);
         m.validate().unwrap();
+    }
+
+    #[test]
+    fn busy_shares_stay_per_engine_when_copies_overlap() {
+        // H2D and D2H each busy 30 of 40 ns: the summed transfer
+        // fraction reads 150%, each engine's own share 75%.
+        let t = Timeline {
+            records: vec![
+                rec(OpKind::Kernel, 0, 0, 40, 1),
+                rec(OpKind::CopyH2D, 1, 0, 30, 10),
+                rec(OpKind::CopyD2H, 2, 10, 40, 10),
+            ],
+        };
+        let m = t.metrics();
+        assert_eq!(m.transfer_fraction, 1.5);
+        assert_eq!(m.h2d.busy_share(), 0.75);
+        assert_eq!(m.d2h.busy_share(), 0.75);
+        assert_eq!(m.kernel.busy_share(), 1.0);
+        assert_eq!(EngineMetrics::default().busy_share(), 0.0);
     }
 
     #[test]

@@ -6,14 +6,24 @@
 //! global load balance again and invoke kernels to do the actual
 //! computations ... we use dense accumulation for dense rows and the
 //! hashmap methods for sparse rows". This module executes that plan on
-//! the host: rows are grouped by output size, each group runs as one
-//! "kernel" (a rayon parallel pass), and each row uses the
-//! dense-or-hash accumulator its density calls for — so the real
-//! computation and the simulated kernel launches correspond one to one.
+//! the host: rows are grouped by output size and each group runs as
+//! one "kernel" (a rayon parallel pass), so the real computation and
+//! the simulated kernel launches correspond one to one.
+//!
+//! The simulated per-group kernel charges come from [`NumericGroups`]
+//! alone and do not depend on which host accumulator computes a row.
+//! The host accumulator is picked by *panel width*, not row density:
+//! [`numeric_by_groups_with`] accumulates every row of a panel at most
+//! [`DENSE_WIDTH_LIMIT`] columns wide in the pooled dense array (it
+//! fits in cache, and a generation-stamped array costs `O(touched)`
+//! per row however sparse the row is), and falls back to the hash
+//! table only above that width. Both accumulators fold each column's
+//! products in the same order and flush sorted, so the choice never
+//! changes a bit of the product.
 
 use accum::{
     choose_accumulator, Accumulator, AccumulatorKind, DenseAccumulator, HashAccumulator,
-    ScratchPool,
+    ScratchPool, DENSE_WIDTH_LIMIT,
 };
 use rayon::prelude::*;
 use sparse::{ColId, CsrMatrix, CsrView};
@@ -78,14 +88,17 @@ impl NumericGroups {
 /// is exact, as in the two-phase strategy). Returns the chunk product
 /// with local column ids.
 ///
-/// Per-row compute is allocation-free at steady state: accumulators
-/// and staging vectors come from the pool at their high-water
-/// capacity, and the hash flush co-sorts in place. Only the output
-/// arrays themselves (exact-sized from the symbolic phase) are
-/// allocated here. Results are bit-identical to the unpooled engine:
-/// per-row product order is unchanged, and flushes sort distinct
-/// columns, so carried accumulator capacity cannot influence any
-/// value.
+/// Every row of a panel at most [`DENSE_WIDTH_LIMIT`] wide accumulates
+/// in the pooled dense array; wider panels use the pooled hash table
+/// with a window sized to the row. Either way the row is flushed sorted
+/// straight into its exact output slices. Per-row compute is
+/// allocation-free at steady state: the accumulators come from the
+/// pool at their high-water capacity, and only the output arrays
+/// (exact-sized from the symbolic phase) are allocated here. Results
+/// are bit-identical to [`numeric_by_groups`], whose density-based
+/// accumulator choice this engine does not share: per-row product order
+/// is unchanged, and both accumulators fold a column in that order and
+/// flush distinct columns sorted.
 pub fn numeric_by_groups_with(
     a_panel: &CsrView<'_>,
     b_panel: &CsrMatrix,
@@ -101,6 +114,7 @@ pub fn numeric_by_groups_with(
     assert_eq!(row_nnz.len(), a_panel.n_rows(), "one symbolic size per row");
     let n_rows = a_panel.n_rows();
     let width = b_panel.n_cols();
+    let dense = width <= DENSE_WIDTH_LIMIT;
 
     // Exact allocation from the symbolic sizes.
     let mut offsets = Vec::with_capacity(n_rows + 1);
@@ -143,19 +157,16 @@ pub fn numeric_by_groups_with(
         work.par_chunks_mut(64).for_each(|rows| {
             pool.with(|scratch| {
                 for (r, (out_c, out_v)) in rows {
-                    let r = *r as usize;
-                    let expected = out_c.len();
-                    scratch.accumulate_row_into(
-                        a_panel.row_iter(r).flat_map(|(k, a_rk)| {
-                            b_panel
-                                .row_iter(k as usize)
-                                .map(move |(c, b_kc)| (c, a_rk * b_kc))
-                        }),
-                        expected,
-                        width,
-                        out_c,
-                        out_v,
-                    );
+                    let products = a_panel.row_iter(*r as usize).flat_map(|(k, a_rk)| {
+                        b_panel
+                            .row_iter(k as usize)
+                            .map(move |(c, b_kc)| (c, a_rk * b_kc))
+                    });
+                    if dense {
+                        scratch.dense_row_into(products, width, out_c, out_v);
+                    } else {
+                        scratch.hash_row_into(products, out_c, out_v);
+                    }
                 }
             });
         });
@@ -170,7 +181,8 @@ pub fn numeric_by_groups_with(
 /// is exact, as in the two-phase strategy). Returns the chunk product
 /// with local column ids.
 ///
-/// This is the pre-pool engine — fresh accumulators per worker task —
+/// This is the pre-pool engine — fresh accumulators per worker task,
+/// picked per row by the density rule ([`choose_accumulator`]) —
 /// retained unchanged as the equivalence oracle and bench baseline;
 /// steady-state callers should share a [`ScratchPool`] through
 /// [`numeric_by_groups_with`] instead.

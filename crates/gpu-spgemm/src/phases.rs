@@ -609,6 +609,86 @@ mod tests {
         }
     }
 
+    /// `A` (`rows x k`) whose row `r` holds `len(r)` entries, times
+    /// `B` (`k x width`) with `per_row` entries per row, both with
+    /// mixed-sign values that do not sum exactly, so any change in a
+    /// column's fold order would show in the bits.
+    fn patterned(
+        rows: usize,
+        k: usize,
+        width: usize,
+        per_row: usize,
+        len: impl Fn(usize) -> usize,
+    ) -> (CsrMatrix, CsrMatrix) {
+        let mut a = sparse::CooMatrix::new(rows, k);
+        for r in 0..rows {
+            for j in 0..len(r).min(k) {
+                let col = (r * 131 + j * 37) % k;
+                a.push(r, col, 0.3 + ((r + 3 * j) % 11) as f64 * 0.173 - 1.1)
+                    .unwrap();
+            }
+        }
+        let mut b = sparse::CooMatrix::new(k, width);
+        for row in 0..k {
+            for j in 0..per_row {
+                let col = (row * 7919 + j * 104_729 + j * j * 31) % width;
+                b.push(row, col, 1.0 / (1 + (row + j) % 13) as f64 - 0.21)
+                    .unwrap();
+            }
+        }
+        (a.to_csr(), b.to_csr())
+    }
+
+    #[test]
+    fn dense_first_numeric_matches_serial_on_rows_old_selector_hashed() {
+        // Narrow panel: dense-first accumulates every row in the dense
+        // array, while the serial engine's density rule hashes the
+        // sparse ones.
+        let (a, b) = patterned(700, 300, 4096, 12, |r| 2 + r % 9);
+        let av = CsrView::of(&a);
+        let hashed = symbolic(&av, &b)
+            .iter()
+            .filter(|&&n| {
+                n > 0 && accum::choose_accumulator(n, b.n_cols()) == accum::AccumulatorKind::Hash
+            })
+            .count();
+        assert!(
+            hashed > 500,
+            "fixture must exercise old hash rows: {hashed}"
+        );
+        let job = ChunkJob {
+            a_panel: av,
+            b_panel: &b,
+            chunk_id: 0,
+        };
+        let pool = accum::ScratchPool::new();
+        assert_chunks_identical(
+            &prepare_chunk_with(job, &pool, None),
+            &prepare_chunk_serial(job),
+        );
+    }
+
+    #[test]
+    fn hash_fallback_above_dense_width_limit_matches_serial() {
+        // Wider than the dense limit, rows ordered large -> small so the
+        // pooled hash table shrinks its window after wide rows.
+        let width = accum::DENSE_WIDTH_LIMIT + 4099;
+        let (a, b) = patterned(240, 400, width, 30, |r| 240 - r);
+        assert!(b.n_cols() > accum::DENSE_WIDTH_LIMIT);
+        let job = ChunkJob {
+            a_panel: CsrView::of(&a),
+            b_panel: &b,
+            chunk_id: 1,
+        };
+        let pool = accum::ScratchPool::new();
+        let expect = prepare_chunk_serial(job);
+        assert!(expect.numeric_groups.len() >= 2, "rows must span groups");
+        // Twice through one pool: a warm table must not leak state.
+        for _ in 0..2 {
+            assert_chunks_identical(&prepare_chunk_with(job, &pool, None), &expect);
+        }
+    }
+
     #[test]
     fn cached_flop_prefix_matches_recomputed_analysis() {
         let (a, b) = job_fixture();

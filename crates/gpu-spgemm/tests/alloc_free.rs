@@ -42,9 +42,13 @@ fn allocations() -> u64 {
 }
 
 /// One steady-state workload: symbolic counts into a caller slice,
-/// then per-row numeric accumulation into caller slices — the two
-/// per-row paths every chunk preparation runs. Inputs stay under the
-/// `ROW_BLOCK` serial threshold so no rayon task machinery allocates.
+/// then per-row numeric accumulation into caller slices through every
+/// pooled entry point — the density-selected `accumulate_row_into`
+/// (CPU kernels), the dense-first `dense_row_into` (chunk preparation
+/// on panels up to `DENSE_WIDTH_LIMIT`), and the windowed
+/// `hash_row_into` (its fallback above that width). Inputs stay under
+/// the `ROW_BLOCK` serial threshold so no rayon task machinery
+/// allocates.
 fn steady_state_pass(
     a: &CsrView<'_>,
     b: &CsrMatrix,
@@ -55,22 +59,25 @@ fn steady_state_pass(
 ) {
     phases::symbolic_into(a, b, pool, row_nnz);
     let width = b.n_cols();
+    let products = |r: usize| {
+        a.row_iter(r).flat_map(|(k, a_rk)| {
+            b.row_iter(k as usize)
+                .map(move |(c, b_kc)| (c, a_rk * b_kc))
+        })
+    };
     pool.with(|scratch| {
         let mut cursor = 0usize;
         for (r, &expect) in row_nnz.iter().enumerate() {
             if expect == 0 {
                 continue;
             }
-            scratch.accumulate_row_into(
-                a.row_iter(r).flat_map(|(k, a_rk)| {
-                    b.row_iter(k as usize)
-                        .map(move |(c, b_kc)| (c, a_rk * b_kc))
-                }),
-                expect,
-                width,
+            let (c, v) = (
                 &mut out_c[cursor..cursor + expect],
                 &mut out_v[cursor..cursor + expect],
             );
+            scratch.accumulate_row_into(products(r), expect, width, c, v);
+            scratch.dense_row_into(products(r), width, c, v);
+            scratch.hash_row_into(products(r), c, v);
             cursor += expect;
         }
     });
@@ -78,17 +85,38 @@ fn steady_state_pass(
 
 #[test]
 fn steady_state_chunk_compute_is_allocation_free() {
-    // Two chunks of different widths, alternated, so the pass also
-    // proves `ensure_width` reuse across panels allocates only during
-    // warm-up. Both stay under ROW_BLOCK rows (serial small path).
+    // Three chunks of different widths, alternated, so the pass also
+    // proves `ensure_width` reuse across panels and the hash table's
+    // per-row window (wide rows, then narrow ones) allocate only during
+    // warm-up. All stay under ROW_BLOCK rows (serial small path).
     let a1 = sparse::gen::erdos_renyi(200, 180, 0.05, 1);
     let b1 = sparse::gen::erdos_renyi(180, 220, 0.05, 2);
     let a2 = sparse::gen::erdos_renyi(150, 120, 0.08, 3);
     let b2 = sparse::gen::erdos_renyi(120, 90, 0.08, 4);
-    assert!(a1.n_rows() <= phases::ROW_BLOCK && a2.n_rows() <= phases::ROW_BLOCK);
+    let a3 = sparse::gen::erdos_renyi(120, 300, 0.2, 5);
+    let b3 = sparse::gen::erdos_renyi(300, 6000, 0.02, 6);
+    // A panel wider than DENSE_WIDTH_LIMIT: symbolic counting and
+    // density-selected accumulation both take the hash path.
+    let a4 = sparse::gen::erdos_renyi(80, 100, 0.1, 7);
+    let mut wide = sparse::CooMatrix::new(100, accum::DENSE_WIDTH_LIMIT + 1000);
+    for row in 0..100 {
+        for j in 0..40 {
+            let col = (row * 7919 + j * 104_729) % wide.n_cols();
+            wide.push(row, col, 1.0 + j as f64).unwrap();
+        }
+    }
+    let b4 = wide.to_csr();
+    assert!([&a1, &a2, &a3, &a4]
+        .iter()
+        .all(|a| a.n_rows() <= phases::ROW_BLOCK));
 
     let pool = ScratchPool::new();
-    let jobs = [(CsrView::of(&a1), &b1), (CsrView::of(&a2), &b2)];
+    let jobs = [
+        (CsrView::of(&a1), &b1),
+        (CsrView::of(&a3), &b3),
+        (CsrView::of(&a2), &b2),
+        (CsrView::of(&a4), &b4),
+    ];
     // Output buffers sized once, outside the measured region.
     let mut bufs: Vec<(Vec<usize>, Vec<u32>, Vec<f64>)> = jobs
         .iter()
@@ -98,8 +126,8 @@ fn steady_state_chunk_compute_is_allocation_free() {
         })
         .collect();
 
-    // Warm-up: grows counters, accumulators, and staging to their
-    // high-water capacity across both widths.
+    // Warm-up: grows counters and accumulators to their high-water
+    // capacity across all widths.
     for ((a, b), (row_nnz, out_c, out_v)) in jobs.iter().zip(&mut bufs) {
         steady_state_pass(a, b, &pool, row_nnz, out_c, out_v);
     }

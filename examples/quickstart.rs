@@ -41,15 +41,17 @@ fn main() {
     let gpu = OutOfCoreGpu::new(config.clone())
         .multiply(&a, &a)
         .expect("gpu run");
+    let copies = &gpu.metrics.timeline;
     println!(
         "out-of-core GPU : {:>8.3} ms simulated, {:.3} GFLOPS, {} chunks ({}x{} panels), \
-         transfers {:.1}% of makespan",
+         copy engines busy H2D {:.1}% / D2H {:.1}% of makespan",
         gpu.sim_ms(),
         gpu.gflops(),
         gpu.plan.num_chunks(),
         gpu.plan.row_panels(),
         gpu.plan.col_panels(),
-        gpu.transfer_fraction() * 100.0
+        copies.h2d.busy_share() * 100.0,
+        copies.d2h.busy_share() * 100.0
     );
 
     // 2. Multicore CPU baseline (Nagasaka-style), modeled time.
