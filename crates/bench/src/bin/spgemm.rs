@@ -25,7 +25,7 @@
 //! deliberately tight cache cap and fails on any cap excursion.
 
 use oocgemm::{
-    multiply_multi_gpu, multiply_unified, ExecMode, FaultPlan, Hybrid, HybridConfig,
+    multiply_multi_gpu, multiply_unified, ExecMode, FaultPlan, Hybrid, HybridConfig, Metrics,
     MultiGpuConfig, OocConfig, OutOfCoreGpu, SchedulerKind,
 };
 use sparse::gen::{rmat, RmatConfig, SuiteMatrix, SuiteScale};
@@ -386,10 +386,10 @@ fn main() {
     }
     config = config.estimator(est);
 
-    // CPU kernel selection (default adaptive): drives the real CPU
-    // executor and the per-chunk CPU pricing class everywhere the
-    // simulated runs demote or assign work to the host. Bad values are
-    // exit 2 before any work starts, like --estimator.
+    // CPU kernel selection (default adaptive) for the cpu executor,
+    // the only one that runs a CPU kernel; every simulated executor
+    // prices CPU chunks with the one calibrated CPU model. Bad values
+    // are exit 2 before any work starts, like --estimator.
     let cpu_kernel: cpu_spgemm::CpuKernel = match args.cpu_kernel.as_deref() {
         Some(v) => v.parse().unwrap_or_else(|e| {
             eprintln!("{e}");
@@ -397,7 +397,13 @@ fn main() {
         }),
         None => cpu_spgemm::CpuKernel::default(),
     };
-    config = config.cpu_kernel(cpu_kernel);
+    if args.cpu_kernel.is_some() && args.executor != "cpu" {
+        eprintln!(
+            "warning: --cpu-kernel has no effect with --executor {} (only the cpu \
+             executor runs a CPU kernel); flag ignored",
+            args.executor
+        );
+    }
 
     // The estimator only drives planning in speculative (async)
     // pipelines — gpu-async, hybrid, and multi-gpu consume it. The
@@ -477,8 +483,12 @@ fn main() {
                 println!("cpu kernel: {cpu_kernel}");
                 cpu_spgemm::multiply_with_kernel(&a, &a, cpu_kernel).expect("cpu multiply")
             };
-            let ns = config.cpu_chunk_ns(stats.flops, stats.nnz_c);
-            (c, ns, None, None, None, None)
+            let ns = config.cost.cpu_chunk_duration(stats.flops, stats.nnz_c);
+            let metrics = Metrics {
+                completion_ns: ns,
+                ..Metrics::default()
+            };
+            (c, ns, None, None, metrics, None)
         }
         "gpu-sync" | "gpu-async" => {
             let mode = if args.executor == "gpu-sync" {
@@ -509,7 +519,7 @@ fn main() {
                 run.sim_ns,
                 Some(run.timeline),
                 Some(run.recovery),
-                Some(run.metrics),
+                run.metrics,
                 None,
             )
         }
@@ -544,7 +554,7 @@ fn main() {
                 run.sim_ns,
                 Some(run.timeline),
                 Some(run.recovery),
-                Some(run.metrics),
+                run.metrics,
                 Some(run.scheduler),
             )
         }
@@ -560,7 +570,12 @@ fn main() {
             );
             // UM computes the same product; reuse the CPU path for values.
             let c = cpu_spgemm::parallel_hash::multiply(&a, &a).expect("multiply");
-            (c, run.sim_ns, None, None, None, None)
+            let metrics = Metrics {
+                completion_ns: run.sim_ns,
+                ..Metrics::default()
+            }
+            .with_degradations(run.degradation.into_iter().collect());
+            (c, run.sim_ns, None, None, metrics, None)
         }
         other => {
             if let Some(n) = other.strip_prefix("multi-gpu:") {
@@ -581,7 +596,7 @@ fn main() {
                 let t = run.timelines.into_iter().next();
                 // Device 0's metrics (the CLI reports one device's view;
                 // the library exposes all of them).
-                let m = run.metrics.into_iter().next();
+                let m = run.metrics.into_iter().next().unwrap_or_default();
                 (
                     run.c,
                     run.sim_ns,
@@ -602,7 +617,7 @@ fn main() {
         stats.flops as f64 / sim_ns.max(1) as f64,
         c.nnz()
     );
-    if let Some(es) = metrics.as_ref().and_then(|m| m.estimator.as_ref()) {
+    if let Some(es) = &metrics.estimator {
         println!(
             "estimator: {} — est nnz {} vs actual {} ({} chunk hits / {} misses, \
              {} overflow rows, {} grow-retries)",
@@ -647,16 +662,11 @@ fn main() {
         }
     }
     if let Some(path) = &args.metrics_out {
-        match &metrics {
-            Some(m) => {
-                std::fs::write(path, m.to_json()).unwrap_or_else(|e| {
-                    eprintln!("failed to write metrics: {e}");
-                    std::process::exit(1)
-                });
-                println!("wrote metrics to {}", path.display());
-            }
-            None => eprintln!("note: --metrics-out ignored (executor has no device metrics)"),
-        }
+        std::fs::write(path, metrics.to_json()).unwrap_or_else(|e| {
+            eprintln!("failed to write metrics: {e}");
+            std::process::exit(1)
+        });
+        println!("wrote metrics to {}", path.display());
     }
     if let Some(path) = &args.out {
         write_result(path, &c);

@@ -3,26 +3,21 @@
 //! The canonical `CostModel::calibrated()` constants model the paper's
 //! 28-thread Xeon testbed and are frozen — every paper-reproduction
 //! experiment depends on them being deterministic. This module instead
-//! *measures* the host the benchmark runs on: for **each CPU SpGEMM
-//! kernel** (hash, dense, merge) it times the real implementation on
-//! two workloads with very different compression ratios and solves the
-//! 2×2 system
+//! *measures* the host the benchmark runs on: it times the real hash
+//! kernel (the paper's CPU baseline) on two workloads with very
+//! different compression ratios and solves the 2×2 system
 //!
 //! ```text
 //! t_i = flops_i / rate + nnz_i · insert_ns      (i = 1, 2)
 //! ```
 //!
 //! for the per-flop rate and per-insert cost, then reads the fixed
-//! per-chunk overhead off a near-empty multiply. The per-kernel fits
-//! feed [`gpu_sim::CostModel::with_measured_cpu_kernels`] (the hash
-//! fit doubles as the kernel-blind base constants, via
-//! [`gpu_sim::CostModel::with_measured_cpu`]) and are written as
+//! per-chunk overhead off a near-empty multiply. The fit plugs into
+//! [`gpu_sim::CostModel::with_measured_cpu`] and is written as
 //! `BENCH_cpu_calibration.json` by `repro prep`, next to the paper
-//! constants they would replace — so drift between the modeled and the
+//! constants it would replace — so drift between the modeled and the
 //! actual host is a recorded artifact, not a silent assumption.
 
-use cpu_spgemm::CpuKernel;
-use gpu_sim::{CpuKernelCost, CpuKernelTable};
 use sparse::gen::{grid2d_stencil, rmat, RmatConfig};
 use sparse::CsrMatrix;
 use std::time::Instant;
@@ -40,11 +35,11 @@ pub struct CalibrationPoint {
     pub wall_ns: u64,
 }
 
-/// One CPU kernel's fitted constants and the points behind them.
+/// The fitted model plus the points it was fitted from.
 #[derive(Clone, Debug)]
-pub struct KernelFit {
-    /// Which kernel was timed.
-    pub kernel: CpuKernel,
+pub struct CpuCalibration {
+    /// Threads the kernel ran with (`rayon::current_num_threads`).
+    pub host_threads: usize,
     /// The timed workloads (skewed, regular, tiny).
     pub points: Vec<CalibrationPoint>,
     /// Measured flop rate, flops/s.
@@ -53,37 +48,6 @@ pub struct KernelFit {
     pub insert_ns: f64,
     /// Measured fixed per-chunk overhead, ns.
     pub chunk_overhead_ns: u64,
-}
-
-impl KernelFit {
-    /// The fit as a cost-model entry.
-    pub fn cost(&self) -> CpuKernelCost {
-        CpuKernelCost {
-            flop_rate: self.flop_rate,
-            insert_ns: self.insert_ns,
-            chunk_overhead_ns: self.chunk_overhead_ns,
-        }
-    }
-}
-
-/// The fitted models plus the points they were fitted from. The
-/// top-level constants are the **hash** kernel's fit — the multicore
-/// baseline every prior consumer of this module read.
-#[derive(Clone, Debug)]
-pub struct CpuCalibration {
-    /// Threads the kernels ran with (`rayon::current_num_threads`).
-    pub host_threads: usize,
-    /// The hash kernel's timed workloads (kept as the base point set).
-    pub points: Vec<CalibrationPoint>,
-    /// Measured hash flop rate, flops/s.
-    pub flop_rate: f64,
-    /// Measured hash per-output-insert cost, ns.
-    pub insert_ns: f64,
-    /// Measured hash fixed per-chunk overhead, ns.
-    pub chunk_overhead_ns: u64,
-    /// Per-kernel fits, in [`CpuKernel`] declaration order (hash,
-    /// dense, merge).
-    pub kernels: Vec<KernelFit>,
 }
 
 fn best_of(iters: usize, mut f: impl FnMut() -> CsrMatrix) -> (u64, CsrMatrix) {
@@ -98,13 +62,13 @@ fn best_of(iters: usize, mut f: impl FnMut() -> CsrMatrix) -> (u64, CsrMatrix) {
     (best, out.expect("at least one iteration"))
 }
 
-fn time_square(kernel: CpuKernel, name: &str, a: &CsrMatrix, iters: usize) -> CalibrationPoint {
+fn time_square(name: &str, a: &CsrMatrix, iters: usize) -> CalibrationPoint {
     let flops = sparse::stats::total_flops(a, a);
     let (wall_ns, c) = best_of(iters, || {
-        cpu_spgemm::multiply_with_kernel(a, a, kernel).expect("cpu multiply")
+        cpu_spgemm::parallel_hash::multiply(a, a).expect("cpu multiply")
     });
     CalibrationPoint {
-        name: format!("{}/{name}", kernel.name()),
+        name: format!("hash/{name}"),
         flops,
         nnz_out: c.nnz() as u64,
         wall_ns,
@@ -138,97 +102,42 @@ fn fit(
     (flop_rate, insert_ns, chunk_overhead_ns)
 }
 
-/// Measures the host and fits the CPU cost parameters per kernel.
+/// Measures the host and fits the CPU cost parameters.
 ///
 /// The two fit workloads bracket the compression-ratio axis: the
 /// skewed R-MAT square is insert-heavy (low ratio), the 2D stencil is
 /// flop-heavy (high ratio, long regular rows), which keeps the 2×2
 /// solve well-conditioned. A 16×16 stencil provides the near-zero-work
-/// chunk for the overhead read-off. All three kernels time the same
-/// three matrices, so the per-kernel constants differ only by the
-/// kernels themselves.
+/// chunk for the overhead read-off.
 pub fn run() -> CpuCalibration {
     let host_threads = rayon::current_num_threads();
     let skew_m = rmat(RmatConfig::skewed(11, 40_000), 9);
-    let reg_m = grid2d_stencil(96, 96, 2, 2);
-    let tiny_m = grid2d_stencil(16, 16, 1, 1);
-
-    let mut kernels = Vec::new();
-    for kernel in [CpuKernel::Hash, CpuKernel::Dense, CpuKernel::Merge] {
-        let skew = time_square(kernel, "rmat_s11_skewed", &skew_m, 3);
-        let reg = time_square(kernel, "stencil_96x96", &reg_m, 3);
-        let tiny = time_square(kernel, "stencil_16x16", &tiny_m, 5);
-        let (flop_rate, insert_ns, chunk_overhead_ns) = fit(&skew, &reg, &tiny);
-        kernels.push(KernelFit {
-            kernel,
-            points: vec![skew, reg, tiny],
-            flop_rate,
-            insert_ns,
-            chunk_overhead_ns,
-        });
-    }
-    let hash = &kernels[0];
+    let skew = time_square("rmat_s11_skewed", &skew_m, 3);
+    let reg = time_square("stencil_96x96", &grid2d_stencil(96, 96, 2, 2), 3);
+    let tiny = time_square("stencil_16x16", &grid2d_stencil(16, 16, 1, 1), 5);
+    let (flop_rate, insert_ns, chunk_overhead_ns) = fit(&skew, &reg, &tiny);
     CpuCalibration {
         host_threads,
-        points: hash.points.clone(),
-        flop_rate: hash.flop_rate,
-        insert_ns: hash.insert_ns,
-        chunk_overhead_ns: hash.chunk_overhead_ns,
-        kernels,
+        points: vec![skew, reg, tiny],
+        flop_rate,
+        insert_ns,
+        chunk_overhead_ns,
     }
 }
 
 impl CpuCalibration {
-    /// The per-kernel cost table (hash / dense / merge fits).
-    pub fn kernel_table(&self) -> CpuKernelTable {
-        let find = |k: CpuKernel| {
-            self.kernels
-                .iter()
-                .find(|f| f.kernel == k)
-                .map(KernelFit::cost)
-                .unwrap_or(CpuKernelCost {
-                    flop_rate: self.flop_rate,
-                    insert_ns: self.insert_ns,
-                    chunk_overhead_ns: self.chunk_overhead_ns,
-                })
-        };
-        CpuKernelTable {
-            hash: find(CpuKernel::Hash),
-            dense: find(CpuKernel::Dense),
-            merge: find(CpuKernel::Merge),
-        }
-    }
-
-    /// The paper model with this host's measured CPU constants: the
-    /// per-kernel table plus the hash fit as the kernel-blind base.
-    pub fn cost_model(&self) -> gpu_sim::CostModel {
-        gpu_sim::CostModel::calibrated().with_measured_cpu_kernels(self.kernel_table())
-    }
-
     /// Stdout table: measured constants next to the frozen paper ones.
     pub fn table(&self) -> String {
         let paper = gpu_sim::CostModel::calibrated();
         let mut out = String::new();
         out.push_str("workload                 flops       nnz_out     wall(ms)\n");
-        for f in &self.kernels {
-            for p in &f.points {
-                out.push_str(&format!(
-                    "{:<22} {:>12} {:>11} {:>11.3}\n",
-                    p.name,
-                    p.flops,
-                    p.nnz_out,
-                    p.wall_ns as f64 / 1e6
-                ));
-            }
-        }
-        out.push_str("\nkernel    flop_rate(GF/s)   insert_ns   chunk_overhead_ns\n");
-        for f in &self.kernels {
+        for p in &self.points {
             out.push_str(&format!(
-                "{:<8} {:>15.3} {:>11.3} {:>19}\n",
-                f.kernel.name(),
-                f.flop_rate / 1e9,
-                f.insert_ns,
-                f.chunk_overhead_ns,
+                "{:<22} {:>12} {:>11} {:>11.3}\n",
+                p.name,
+                p.flops,
+                p.nnz_out,
+                p.wall_ns as f64 / 1e6
             ));
         }
         out.push_str(&format!(
@@ -250,9 +159,7 @@ impl CpuCalibration {
     }
 
     /// The `BENCH_cpu_calibration.json` document. Hand-formatted like
-    /// the other bench baselines so offline builds can emit it. The
-    /// legacy keys (`points`, `measured`) carry the hash fit; the
-    /// `kernels` array carries the per-kernel fits.
+    /// the other bench baselines so offline builds can emit it.
     pub fn to_json(&self) -> String {
         let paper = gpu_sim::CostModel::calibrated();
         let points = self
@@ -266,32 +173,15 @@ impl CpuCalibration {
             })
             .collect::<Vec<_>>()
             .join(",\n");
-        let kernels = self
-            .kernels
-            .iter()
-            .map(|f| {
-                format!(
-                    "    {{\"kernel\": \"{}\", \"cpu_flop_rate\": {:.1}, \
-                     \"cpu_insert_ns\": {:.3}, \"cpu_chunk_overhead_ns\": {}}}",
-                    f.kernel.name(),
-                    f.flop_rate,
-                    f.insert_ns,
-                    f.chunk_overhead_ns
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",\n");
         format!(
             "{{\n  \"benchmark\": \"cpu_calibration\",\n  \"host_threads\": {},\n  \
              \"points\": [\n{}\n  ],\n  \
-             \"kernels\": [\n{}\n  ],\n  \
              \"measured\": {{\"cpu_flop_rate\": {:.1}, \"cpu_insert_ns\": {:.3}, \
              \"cpu_chunk_overhead_ns\": {}}},\n  \
              \"paper\": {{\"cpu_flop_rate\": {:.1}, \"cpu_insert_ns\": {:.3}, \
              \"cpu_chunk_overhead_ns\": {}}}\n}}\n",
             self.host_threads,
             points,
-            kernels,
             self.flop_rate,
             self.insert_ns,
             self.chunk_overhead_ns,
@@ -311,31 +201,23 @@ mod tests {
         let cal = run();
         assert!(cal.flop_rate > 0.0);
         assert!(cal.insert_ns >= 0.0);
-        assert_eq!(cal.kernels.len(), 3, "hash, dense, merge");
-        for f in &cal.kernels {
-            assert!(f.flop_rate > 0.0, "{}", f.kernel);
-            assert!(f.insert_ns >= 0.0, "{}", f.kernel);
-            assert_eq!(f.points.len(), 3, "{}", f.kernel);
-        }
+        assert_eq!(cal.points.len(), 3);
         let json = cal.to_json();
         let parsed: serde_json::Value = serde_json::from_str(&json).expect("valid json");
         assert_eq!(parsed["benchmark"], "cpu_calibration");
         assert_eq!(parsed["points"].as_array().unwrap().len(), 3);
-        assert_eq!(parsed["kernels"].as_array().unwrap().len(), 3);
-        assert_eq!(parsed["kernels"][0]["kernel"], "hash");
-        assert_eq!(parsed["kernels"][2]["kernel"], "merge");
-        // The measured model plugs into the paper calibration without
-        // touching the frozen constants, prices per kernel class, and
-        // keeps the base constants equal to the hash column.
-        let m = cal.cost_model();
+        assert_eq!(parsed["points"][0]["name"], "hash/rmat_s11_skewed");
+        // The measured constants plug into the paper calibration
+        // without touching the frozen ones.
+        let m = gpu_sim::CostModel::calibrated().with_measured_cpu(
+            cal.flop_rate,
+            cal.insert_ns,
+            cal.chunk_overhead_ns,
+        );
         assert_eq!(
             m.d2h_bandwidth,
             gpu_sim::CostModel::calibrated().d2h_bandwidth
         );
-        assert!((m.cpu_flop_rate - cal.flop_rate).abs() < 1.0);
-        assert_eq!(
-            m.cpu_chunk_duration(1_000_000, 100_000),
-            m.cpu_chunk_duration_for(gpu_sim::CpuKernelClass::Hash, 1_000_000, 100_000),
-        );
+        assert_eq!(m.cpu_flop_rate, cal.flop_rate);
     }
 }

@@ -501,7 +501,8 @@ pub(crate) fn simulate_order_recovering(
                 let mut cpu_total: SimTime = 0;
                 for w in &pending {
                     let p = w.chunk(pg, &sub_store);
-                    cpu_total = cpu_total.saturating_add(config.cpu_chunk_ns(p.flops, p.nnz));
+                    cpu_total =
+                        cpu_total.saturating_add(config.cost.cpu_chunk_duration(p.flops, p.nnz));
                 }
                 if elapsed.saturating_add(cpu_total) > b.sim_deadline_ns {
                     let pending_parents: std::collections::HashSet<ChunkId> =
@@ -540,22 +541,13 @@ pub(crate) fn simulate_order_recovering(
                     s.demotions += 1;
                     s.demotion_cause.get_or_insert(DemotionCause::Deadline);
                     let p = w.chunk(pg, &sub_store);
-                    let cpu_ns = config.cpu_chunk_ns(p.flops, p.nnz);
-                    if let Some(h) = host.as_mut() {
-                        let mut attempt = 0u32;
-                        while h.roll(HostFaultKind::CpuKernel) {
-                            attempt += 1;
-                            let wait = backoff_ns(sim.cost(), attempt);
-                            report.cpu_kernel_faults += 1;
-                            report.retries += 1;
-                            report.backoff_ns += wait;
-                            report.time_lost_ns += cpu_ns + wait;
-                            sim.host_compute(
-                                cpu_ns + wait,
-                                format!("CPU retry chunk ({},{})", w.parent.row, w.parent.col),
-                            );
-                        }
-                    }
+                    let cpu_ns = config.cost.cpu_chunk_duration(p.flops, p.nnz);
+                    report.retry_cpu_chunk(host.as_mut(), &config.cost, cpu_ns, |lost| {
+                        sim.host_compute(
+                            lost,
+                            format!("CPU retry chunk ({},{})", w.parent.row, w.parent.col),
+                        )
+                    });
                     sim.host_compute(
                         cpu_ns,
                         format!("CPU fallback chunk ({},{})", w.parent.row, w.parent.col),
@@ -722,7 +714,7 @@ pub(crate) fn simulate_order_recovering(
                         });
                     }
                     let p = w.chunk(pg, &sub_store);
-                    let cpu_ns = config.cpu_chunk_ns(p.flops, p.nnz);
+                    let cpu_ns = config.cost.cpu_chunk_duration(p.flops, p.nnz);
                     sim.note_recovery(format!(
                         "demote chunk ({},{}) rows {}..{} to CPU",
                         w.parent.row, w.parent.col, w.rows.start, w.rows.end
@@ -730,21 +722,12 @@ pub(crate) fn simulate_order_recovering(
                     // Demoted chunks run in the CPU fault domain:
                     // transient CPU-kernel faults cost a recompute plus
                     // backoff before the clean pass lands.
-                    if let Some(h) = host.as_mut() {
-                        let mut attempt = 0u32;
-                        while h.roll(HostFaultKind::CpuKernel) {
-                            attempt += 1;
-                            let wait = backoff_ns(sim.cost(), attempt);
-                            report.cpu_kernel_faults += 1;
-                            report.retries += 1;
-                            report.backoff_ns += wait;
-                            report.time_lost_ns += cpu_ns + wait;
-                            sim.host_compute(
-                                cpu_ns + wait,
-                                format!("CPU retry chunk ({},{})", w.parent.row, w.parent.col),
-                            );
-                        }
-                    }
+                    report.retry_cpu_chunk(host.as_mut(), &config.cost, cpu_ns, |lost| {
+                        sim.host_compute(
+                            lost,
+                            format!("CPU retry chunk ({},{})", w.parent.row, w.parent.col),
+                        )
+                    });
                     sim.host_compute(
                         cpu_ns,
                         format!("CPU fallback chunk ({},{})", w.parent.row, w.parent.col),

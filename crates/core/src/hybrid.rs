@@ -14,20 +14,44 @@
 
 use crate::assemble::assemble;
 use crate::chunks::{ChunkGrid, ChunkId, ChunkInfo};
-use crate::config::{ExecMode, HybridConfig, SchedulerKind};
+use crate::config::{ExecMode, HybridConfig, OocConfig, SchedulerKind};
 use crate::error::OocError;
 use crate::executor::{
     attach_speculation_all, estimator_stats, prepare_grid, run_device, PreparedGrid,
 };
-use crate::faults::{self, HostFaultKind, HostFaultState};
-use crate::metrics::{CpuKernelStats, Metrics, SchedulerStats};
+use crate::faults::{self, HostFaultState};
+use crate::metrics::{Metrics, SchedulerStats};
 use crate::plan::PanelPlan;
-use crate::recovery::{backoff_ns, RecoveryReport};
+use crate::recovery::RecoveryReport;
 use crate::scheduler::assign;
 use crate::Result;
 use gpu_sim::{SimTime, Timeline};
 use sparse::CsrMatrix;
 use std::collections::HashMap;
+
+/// Simulated time of the CPU worker running `chunks` one after
+/// another, each priced by the calibrated CPU model. The worker is its
+/// own host fault domain: transient CPU-kernel faults cost a recompute
+/// plus backoff on its clock.
+pub(crate) fn cpu_worker_ns(
+    config: &OocConfig,
+    pg: &PreparedGrid,
+    chunks: &[ChunkInfo],
+    recovery: &mut RecoveryReport,
+) -> SimTime {
+    let mut host = config
+        .host_faults
+        .as_ref()
+        .map(|hp| HostFaultState::new(hp.derive(faults::streams::CPU_WORKER)));
+    chunks
+        .iter()
+        .map(|info| {
+            let p = pg.chunk(info.id);
+            let chunk_ns = config.cost.cpu_chunk_duration(p.flops, p.nnz);
+            chunk_ns + recovery.retry_cpu_chunk(host.as_mut(), &config.cost, chunk_ns, |_| {})
+        })
+        .sum()
+}
 
 /// Extracts a readable message from a captured panic payload.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -167,21 +191,13 @@ impl Hybrid {
 
     /// CPU-side completion time for a chunk set: the CPU worker
     /// processes its chunks one after another, each with all cores
-    /// (Algorithm 4 line 26). Every chunk is priced under the
-    /// configured CPU kernel's per-class cost (the adaptive classifier
-    /// picks a class per chunk); each pick is recorded into `picks`.
-    fn cpu_time(
-        &self,
-        pg: &PreparedGrid,
-        chunks: &[ChunkInfo],
-        picks: &mut CpuKernelStats,
-    ) -> SimTime {
+    /// (Algorithm 4 line 26), priced by the calibrated CPU model.
+    fn cpu_time(&self, pg: &PreparedGrid, chunks: &[ChunkInfo]) -> SimTime {
         chunks
             .iter()
             .map(|info| {
                 let p = pg.chunk(info.id);
-                picks.record(self.config.gpu.cpu_kernel_class(p.flops, p.nnz));
-                self.config.gpu.cpu_chunk_ns(p.flops, p.nnz)
+                self.config.gpu.cost.cpu_chunk_duration(p.flops, p.nnz)
             })
             .sum()
     }
@@ -229,38 +245,14 @@ impl Hybrid {
             }
             None => metrics,
         };
-        let mut kernel_picks = CpuKernelStats::new(self.config.gpu.cpu_kernel.name());
-        let mut cpu_ns = self.cpu_time(pg, &assignment.cpu, &mut kernel_picks);
-        // The CPU worker is its own host fault domain: transient
-        // CPU-kernel faults cost a recompute plus backoff on the CPU
-        // clock. Assignment and scheduling stay fault-blind so the
-        // claim decisions (and hence C's assembly order) never move.
-        if let Some(hp) = &self.config.gpu.host_faults {
-            let mut host = HostFaultState::new(hp.derive(faults::streams::CPU_WORKER));
-            for info in &assignment.cpu {
-                let p = pg.chunk(info.id);
-                let chunk_ns = self.config.gpu.cpu_chunk_ns(p.flops, p.nnz);
-                let mut attempt = 0u32;
-                while host.roll(HostFaultKind::CpuKernel) {
-                    attempt += 1;
-                    let wait = backoff_ns(&self.config.gpu.cost, attempt);
-                    cpu_ns += chunk_ns + wait;
-                    recovery.cpu_kernel_faults += 1;
-                    recovery.retries += 1;
-                    recovery.backoff_ns += wait;
-                    recovery.time_lost_ns += chunk_ns + wait;
-                }
-            }
-        }
+        // Assignment and scheduling stay fault-blind so the claim
+        // decisions (and hence C's assembly order) never move.
+        let mut cpu_ns = cpu_worker_ns(&self.config.gpu, pg, &assignment.cpu, &mut recovery);
         if gpu_dead {
             // Already-prepared host results are kept; the CPU clock
             // pays for recomputing every orphaned GPU chunk.
-            for info in &assignment.gpu {
-                let p = pg.chunk(info.id);
-                kernel_picks.record(self.config.gpu.cpu_kernel_class(p.flops, p.nnz));
-                cpu_ns += self.config.gpu.cpu_chunk_ns(p.flops, p.nnz);
-                recovery.demotions += 1;
-            }
+            cpu_ns += self.cpu_time(pg, &assignment.gpu);
+            recovery.demotions += assignment.gpu.len() as u64;
         }
 
         let chunk_refs: Vec<(ChunkId, &CsrMatrix)> = order
@@ -302,11 +294,7 @@ impl Hybrid {
             timeline,
             plan: pg.plan.clone(),
             recovery,
-            metrics: if kernel_picks.total() > 0 {
-                metrics.with_scheduler(stats).with_cpu_kernels(kernel_picks)
-            } else {
-                metrics.with_scheduler(stats)
-            },
+            metrics: metrics.with_scheduler(stats),
             scheduler: stats,
             c,
         })
@@ -528,7 +516,7 @@ impl Hybrid {
         for g in 0..=order.len() {
             let gpu_order = ChunkGrid::grouped_desc(&order[..g]);
             let gpu_ns = run_device(a, &pg, &gpu_order, &gpu_config)?.sim_ns;
-            let cpu_ns = self.cpu_time(&pg, &order[g..], &mut CpuKernelStats::default());
+            let cpu_ns = self.cpu_time(&pg, &order[g..]);
             per_g.push((g, gpu_ns.max(cpu_ns)));
         }
         let &(best_g, best_ns) = per_g

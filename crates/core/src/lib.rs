@@ -64,7 +64,6 @@ pub mod verify;
 pub use accum::estimate::{EstModel, EstimateConfig, EstimatorKind};
 pub use chunks::{ChunkGrid, ChunkId, ChunkInfo};
 pub use config::{ExecMode, HybridConfig, OocConfig, SchedulerKind, DEFAULT_GPU_RATIO};
-pub use cpu_spgemm::CpuKernel;
 pub use error::OocError;
 pub use executor::{
     prepare_grid, prepare_grid_pooled, prepare_grid_serial, ChainedRun, OocRun, OutOfCoreGpu,
@@ -74,8 +73,8 @@ pub use faults::{HostFaultKind, HostFaultPlan, HostFaultState, HostFaultStats};
 pub use gpu_sim::FaultPlan;
 pub use hybrid::{auto_gpu_ratio, Hybrid, HybridRun, RatioSearch};
 pub use metrics::{
-    ChunkMetrics, CpuKernelStats, DegradationCause, DegradationEvent, DemotionCause,
-    EstimatorStats, Metrics, SchedulerStats, ServiceStats, TenantStats,
+    ChunkMetrics, DegradationCause, DegradationEvent, DemotionCause, EstimatorStats, Metrics,
+    SchedulerStats, ServiceStats, TenantStats,
 };
 pub use multigpu::{multiply_multi_gpu, MultiGpuConfig, MultiGpuRun};
 pub use plan::{PanelPlan, Planner};

@@ -46,47 +46,6 @@ pub struct SchedulerStats {
     pub realized_gpu_ratio: f64,
 }
 
-/// CPU-kernel dispatch accounting: which SpGEMM kernel the CPU side
-/// was configured with, and how many chunks each per-row-group class
-/// priced as under the adaptive classifier (fixed kernels put every
-/// chunk in their own bucket). Populated whenever a run priced CPU
-/// work; `None` for pure-GPU runs.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct CpuKernelStats {
-    /// Configured kernel name (`hash`, `dense`, `merge`, `adaptive`).
-    pub kernel: String,
-    /// Chunks priced with the hash-accumulator class.
-    pub hash_picks: u64,
-    /// Chunks priced with the dense-accumulator class.
-    pub dense_picks: u64,
-    /// Chunks priced with the merge-chain class.
-    pub merge_picks: u64,
-}
-
-impl CpuKernelStats {
-    /// A zeroed counter set for the named kernel.
-    pub fn new(kernel: &str) -> Self {
-        CpuKernelStats {
-            kernel: kernel.to_string(),
-            ..CpuKernelStats::default()
-        }
-    }
-
-    /// Records one chunk priced under `class`.
-    pub fn record(&mut self, class: gpu_sim::CpuKernelClass) {
-        match class {
-            gpu_sim::CpuKernelClass::Hash => self.hash_picks += 1,
-            gpu_sim::CpuKernelClass::Dense => self.dense_picks += 1,
-            gpu_sim::CpuKernelClass::Merge => self.merge_picks += 1,
-        }
-    }
-
-    /// Total chunks priced on the CPU side.
-    pub fn total(&self) -> u64 {
-        self.hash_picks + self.dense_picks + self.merge_picks
-    }
-}
-
 /// Why a chunk left the GPU for the CPU.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum DemotionCause {
@@ -306,9 +265,6 @@ pub struct Metrics {
     /// Scheduler accounting; `None` for single-device runs that have
     /// no CPU/GPU work distribution to report.
     pub scheduler: Option<SchedulerStats>,
-    /// CPU-kernel dispatch accounting; `None` when no CPU work was
-    /// priced (pure-GPU runs).
-    pub cpu_kernels: Option<CpuKernelStats>,
     /// Estimator accuracy accounting; `None` for exact (non-speculative)
     /// runs.
     pub estimator: Option<EstimatorStats>,
@@ -334,7 +290,6 @@ impl Metrics {
             pool_high_water_bytes: sim.pool_high_water(),
             chunks: Vec::new(),
             scheduler: None,
-            cpu_kernels: None,
             estimator: None,
             degradations: Vec::new(),
             tenants: Vec::new(),
@@ -351,12 +306,6 @@ impl Metrics {
     /// Attaches scheduler work-distribution accounting.
     pub fn with_scheduler(mut self, stats: SchedulerStats) -> Self {
         self.scheduler = Some(stats);
-        self
-    }
-
-    /// Attaches CPU-kernel dispatch accounting.
-    pub fn with_cpu_kernels(mut self, stats: CpuKernelStats) -> Self {
-        self.cpu_kernels = Some(stats);
         self
     }
 
@@ -478,16 +427,6 @@ impl Metrics {
                 }
             }
             None => s.push_str("  \"scheduler\": null,\n"),
-        }
-        match &self.cpu_kernels {
-            Some(k) => {
-                s.push_str(&format!(
-                    "  \"cpu_kernels\": {{ \"kernel\": \"{}\", \"hash_picks\": {}, \
-                     \"dense_picks\": {}, \"merge_picks\": {} }},\n",
-                    k.kernel, k.hash_picks, k.dense_picks, k.merge_picks,
-                ));
-            }
-            None => s.push_str("  \"cpu_kernels\": null,\n"),
         }
         match &self.estimator {
             Some(e) => {
@@ -783,25 +722,6 @@ mod tests {
         // An unbounded cache serializes its cap as null.
         let m = Metrics::default().with_service(ServiceStats::default());
         assert!(m.to_json().contains("\"grid_cache_bytes\": null"));
-    }
-
-    #[test]
-    fn cpu_kernel_stats_serialize_and_default_to_null() {
-        let json = Metrics::default().to_json();
-        assert!(json.contains("\"cpu_kernels\": null"), "{json}");
-        let mut stats = CpuKernelStats::new("adaptive");
-        stats.record(gpu_sim::CpuKernelClass::Hash);
-        stats.record(gpu_sim::CpuKernelClass::Merge);
-        stats.record(gpu_sim::CpuKernelClass::Merge);
-        assert_eq!(stats.total(), 3);
-        let m = Metrics::default().with_cpu_kernels(stats);
-        let json = m.to_json();
-        assert!(json.contains("\"kernel\": \"adaptive\""), "{json}");
-        assert!(json.contains("\"hash_picks\": 1"));
-        assert!(json.contains("\"dense_picks\": 0"));
-        assert!(json.contains("\"merge_picks\": 2"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
 
     #[test]

@@ -22,10 +22,11 @@ use crate::assemble::assemble;
 use crate::chunks::{ChunkGrid, ChunkId, ChunkInfo};
 use crate::config::{OocConfig, SchedulerKind};
 use crate::executor::{estimator_stats, prepare_grid, run_device, PreparedGrid};
-use crate::faults::{self, HostFaultKind, HostFaultState};
-use crate::metrics::{CpuKernelStats, Metrics, SchedulerStats};
+use crate::faults;
+use crate::hybrid::cpu_worker_ns;
+use crate::metrics::{Metrics, SchedulerStats};
 use crate::plan::PanelPlan;
-use crate::recovery::{backoff_ns, RecoveryReport};
+use crate::recovery::RecoveryReport;
 use crate::Result;
 use gpu_sim::{CostModel, KernelKind, SimTime, Timeline};
 use gpu_spgemm::PreparedChunk;
@@ -171,7 +172,7 @@ fn distribute(
                     if w < config.num_gpus {
                         gpu_chunk_estimate(cost, p, config.gpu.pinned)
                     } else {
-                        config.gpu.cpu_chunk_ns(p.flops, p.nnz)
+                        config.gpu.cost.cpu_chunk_duration(p.flops, p.nnz)
                     }
                 };
                 let Some(best_w) = (0..workers).min_by_key(|&w| (loads[w] + est(w), w)) else {
@@ -212,7 +213,7 @@ fn distribute(
                     let info = order[tail];
                     cpu_steals += 1;
                     let p = pg.chunk(info.id);
-                    clocks[w] += config.gpu.cpu_chunk_ns(p.flops, p.nnz);
+                    clocks[w] += config.gpu.cost.cpu_chunk_duration(p.flops, p.nnz);
                     info
                 };
                 assignment[w].push(info);
@@ -237,7 +238,6 @@ pub fn multiply_multi_gpu(
     // the realized flop split still comes from actual per-chunk flops.
     let pg = prepare_grid(a, b, &config.gpu)?;
     let order = pg.grid.sorted_desc();
-    let cost = &config.gpu.cost;
     let (assignment, gpu_claims, cpu_steals) = distribute(config, &pg, &order)?;
 
     // Simulate each GPU on its own device; cost the CPU worker.
@@ -277,39 +277,7 @@ pub fn multiply_multi_gpu(
     }
     let (cpu_ns, cpu_chunks) = if config.use_cpu {
         let chunks = &assignment[config.num_gpus];
-        // The CPU worker is a host fault domain of its own: transient
-        // CPU-kernel faults cost a recompute plus backoff, charged to
-        // the worker's clock.
-        let mut host = config
-            .gpu
-            .host_faults
-            .as_ref()
-            .map(|p| HostFaultState::new(p.derive(faults::streams::CPU_WORKER)));
-        let mut kernel_picks = CpuKernelStats::new(config.gpu.cpu_kernel.name());
-        let mut t: SimTime = 0;
-        for info in chunks {
-            let p = pg.chunk(info.id);
-            kernel_picks.record(config.gpu.cpu_kernel_class(p.flops, p.nnz));
-            let chunk_ns = config.gpu.cpu_chunk_ns(p.flops, p.nnz);
-            if let Some(state) = host.as_mut() {
-                let mut attempt = 0u32;
-                while state.roll(HostFaultKind::CpuKernel) {
-                    attempt += 1;
-                    let backoff = backoff_ns(cost, attempt);
-                    t += chunk_ns + backoff;
-                    recovery.cpu_kernel_faults += 1;
-                    recovery.retries += 1;
-                    recovery.backoff_ns += backoff;
-                    recovery.time_lost_ns += chunk_ns + backoff;
-                }
-            }
-            t += chunk_ns;
-        }
-        // The CPU worker is shared across the node, like the estimator:
-        // report its kernel dispatch once, on device 0.
-        if let (true, Some(m0)) = (kernel_picks.total() > 0, metrics.first_mut()) {
-            *m0 = std::mem::take(m0).with_cpu_kernels(kernel_picks);
-        }
+        let t = cpu_worker_ns(&config.gpu, &pg, chunks, &mut recovery);
         (t, chunks.len())
     } else {
         (0, 0)

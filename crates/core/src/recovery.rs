@@ -12,6 +12,7 @@
 //! assembled `C` under any fault plan is bit-identical to the
 //! fault-free run.
 
+use crate::faults::{HostFaultKind, HostFaultState};
 use gpu_sim::{CostModel, SimTime};
 
 /// Bounds on the recovery actions an executor may take.
@@ -157,6 +158,34 @@ impl RecoveryReport {
         self.replans += other.replans;
         self.backoff_ns += other.backoff_ns;
         self.time_lost_ns += other.time_lost_ns;
+    }
+
+    /// Runs one CPU chunk priced `chunk_ns` through the transient
+    /// CPU-kernel fault loop: every fault `host` injects costs a
+    /// recompute plus backoff, is counted here and handed to
+    /// `on_retry`. Returns the simulated time the retries cost (0
+    /// without a host fault plan); the clean pass is the caller's.
+    pub(crate) fn retry_cpu_chunk(
+        &mut self,
+        host: Option<&mut HostFaultState>,
+        cost: &CostModel,
+        chunk_ns: SimTime,
+        mut on_retry: impl FnMut(SimTime),
+    ) -> SimTime {
+        let Some(host) = host else { return 0 };
+        let mut lost = 0;
+        let mut attempt = 0u32;
+        while host.roll(HostFaultKind::CpuKernel) {
+            attempt += 1;
+            let wait = backoff_ns(cost, attempt);
+            self.cpu_kernel_faults += 1;
+            self.retries += 1;
+            self.backoff_ns += wait;
+            self.time_lost_ns += chunk_ns + wait;
+            lost += chunk_ns + wait;
+            on_retry(chunk_ns + wait);
+        }
+        lost
     }
 
     /// One-line human-readable summary.

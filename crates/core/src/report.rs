@@ -1,6 +1,6 @@
 //! Serializable run summaries for the experiment harness.
 
-use crate::metrics::{CpuKernelStats, EstimatorStats, Metrics, SchedulerStats};
+use crate::metrics::{EstimatorStats, Metrics, SchedulerStats};
 use crate::recovery::RecoveryReport;
 use gpu_sim::{CostModel, SimTime};
 use serde::{Deserialize, Serialize};
@@ -85,15 +85,6 @@ pub struct RunReport {
     pub cpu_idle_ns: Option<SimTime>,
     /// Fraction of total flops that actually ran on the GPU.
     pub realized_gpu_ratio: Option<f64>,
-    /// Configured CPU SpGEMM kernel name, for runs that priced CPU
-    /// work (`hash` / `dense` / `merge` / `adaptive`).
-    pub cpu_kernel: Option<String>,
-    /// Chunks the classifier priced with the hash-accumulator class.
-    pub cpu_hash_picks: Option<u64>,
-    /// Chunks the classifier priced with the dense-accumulator class.
-    pub cpu_dense_picks: Option<u64>,
-    /// Chunks the classifier priced with the merge-chain class.
-    pub cpu_merge_picks: Option<u64>,
     /// Estimator kind name, for speculative runs.
     pub estimator: Option<String>,
     /// Estimated output nonzeros, for speculative runs.
@@ -143,10 +134,6 @@ impl RunReport {
             gpu_idle_ns: None,
             cpu_idle_ns: None,
             realized_gpu_ratio: None,
-            cpu_kernel: None,
-            cpu_hash_picks: None,
-            cpu_dense_picks: None,
-            cpu_merge_picks: None,
             estimator: None,
             est_nnz: None,
             estimate_overflows: None,
@@ -181,16 +168,6 @@ impl RunReport {
         self.d2h_bytes = Some(t.d2h_bytes);
         self.overlap_efficiency = Some(t.overlap_efficiency);
         self.pool_high_water_bytes = Some(metrics.pool_high_water_bytes);
-        self
-    }
-
-    /// Fills in the CPU-kernel dispatch columns from a
-    /// [`CpuKernelStats`] value.
-    pub fn with_cpu_kernels(mut self, stats: &CpuKernelStats) -> Self {
-        self.cpu_kernel = Some(stats.kernel.clone());
-        self.cpu_hash_picks = Some(stats.hash_picks);
-        self.cpu_dense_picks = Some(stats.dense_picks);
-        self.cpu_merge_picks = Some(stats.merge_picks);
         self
     }
 
@@ -332,23 +309,6 @@ mod tests {
         assert_eq!(r.gpu_idle_ns, Some(0));
         assert_eq!(r.cpu_idle_ns, Some(4_200));
         assert_eq!(r.realized_gpu_ratio, Some(0.71));
-    }
-
-    #[test]
-    fn with_cpu_kernels_fills_dispatch_columns() {
-        let mut stats = CpuKernelStats::new("adaptive");
-        stats.record(gpu_sim::CpuKernelClass::Merge);
-        stats.record(gpu_sim::CpuKernelClass::Hash);
-        stats.record(gpu_sim::CpuKernelClass::Merge);
-        let r = RunReport::new("nlp", "hybrid", 1000, 100, 500).with_cpu_kernels(&stats);
-        assert_eq!(r.cpu_kernel.as_deref(), Some("adaptive"));
-        assert_eq!(r.cpu_hash_picks, Some(1));
-        assert_eq!(r.cpu_dense_picks, Some(0));
-        assert_eq!(r.cpu_merge_picks, Some(2));
-        let json = serde_json::to_string(&r).unwrap();
-        let back: RunReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.cpu_kernel.as_deref(), Some("adaptive"));
-        assert_eq!(back.cpu_merge_picks, Some(2));
     }
 
     #[test]

@@ -162,7 +162,7 @@ fn work_stealing(config: &HybridConfig, pg: &PreparedGrid, order: &[ChunkInfo]) 
         };
         let cpu_steal_clock = {
             let chunk = pg.chunk(order[tail - 1].id);
-            cpu_clock + cfg.cpu_chunk_ns(chunk.flops, chunk.nnz)
+            cpu_clock + cfg.cost.cpu_chunk_duration(chunk.flops, chunk.nnz)
         };
         let gpu_turn = match gpu_if_claim {
             Some(t) => head < prefetch || t.max(cpu_clock) <= gpu_clock.max(cpu_steal_clock),

@@ -52,7 +52,7 @@ pub use semiring::{multiply_semiring, Semiring};
 use sparse::{CsrMatrix, Result, SparseError};
 use std::str::FromStr;
 
-/// Which CPU SpGEMM kernel to run — the `OocConfig` / `--cpu-kernel`
+/// Which CPU SpGEMM kernel to run — the `spgemm --executor cpu --cpu-kernel`
 /// selection. Every variant produces bit-identical `C`; they differ
 /// only in speed per row shape.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]

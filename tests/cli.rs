@@ -273,3 +273,75 @@ fn bad_estimator_flags_exit_2() {
         );
     }
 }
+
+#[test]
+fn cpu_kernel_flag_outside_cpu_executor_warns() {
+    for executor in ["cpu", "gpu-async", "hybrid"] {
+        let out = spgemm()
+            .args([
+                "--gen",
+                "rmat:6:200:1",
+                "--executor",
+                executor,
+                "--cpu-kernel",
+                "merge",
+            ])
+            .output()
+            .expect("spawn spgemm");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{executor}: {stderr}");
+        let warned = stderr.contains("--cpu-kernel has no effect") && stderr.contains("ignored");
+        assert_eq!(
+            warned,
+            executor != "cpu",
+            "{executor}: unexpected warning state:\n{stderr}"
+        );
+    }
+}
+
+#[test]
+fn cpu_and_unified_executors_write_metrics() {
+    for executor in ["cpu", "unified"] {
+        let path = temp(&format!("metrics_{executor}.json"));
+        let out = spgemm()
+            .args([
+                "--gen",
+                "rmat:10:8000:7",
+                "--executor",
+                executor,
+                "--device-mb",
+                "1",
+                "--metrics-out",
+                path.to_str().unwrap(),
+            ])
+            .output()
+            .expect("spawn spgemm");
+        assert!(
+            out.status.success(),
+            "{executor}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let m: serde_json::Value =
+            serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        std::fs::remove_file(&path).ok();
+        // completion_ns is the executor's simulated time, which the
+        // summary line prints in ms.
+        let ns = m["completion_ns"].as_u64().expect("completion_ns");
+        assert!(ns > 0, "{executor}");
+        let done = format!("done: {:.3} ms simulated", ns as f64 / 1e6);
+        assert!(
+            stdout.contains(&done),
+            "{executor}: no `{done}` in\n{stdout}"
+        );
+        let degradations = m["degradations"].as_array().unwrap();
+        if executor == "unified" {
+            // A 1 MiB device thrashes on this input.
+            assert!(stdout.contains("(thrashing)"), "{stdout}");
+            assert_eq!(degradations.len(), 1);
+            assert_eq!(degradations[0]["cause"], "unified_thrash");
+        } else {
+            assert!(degradations.is_empty());
+        }
+    }
+}
