@@ -1,21 +1,19 @@
-//! Wall-clock comparison of the parallel, scratch-pooled chunk
-//! preparation engine against the serial engine it replaced, backing
-//! the `BENCH_chunk_prep.json` baseline the `repro` binary emits
-//! (`repro prep`).
+//! Wall-clock comparison of the chunk preparation engine against the
+//! serial engine it replaced, backing the `BENCH_chunk_prep.json`
+//! baseline the `repro` binary emits (`repro prep`).
 //!
-//! Per case, four measurements over the same panel grid:
+//! Per case, two measurements over the same panel grid:
 //!
 //! * `serial` — `prepare_grid_serial`: the original chunk-by-chunk
 //!   loop with the pre-pool per-chunk engine;
-//! * `parallel_1t` / `parallel_2t` / `parallel_all` —
-//!   `prepare_grid` (grid-parallel, pooled scratch, in-place hash
-//!   flush) installed on rayon pools of 1, 2, and all host threads.
+//! * `parallel` — `prepare_grid`: the calling thread plus
+//!   `available_parallelism − 1` scoped workers on one chunk cursor,
+//!   sharing pooled scratch.
 //!
-//! The 1-thread row isolates the allocation-free engine's gain from
-//! parallelism; the ratio across thread counts shows the scaling.
-//! `host_threads` is recorded so baselines from different machines are
-//! comparable — on a single-core host all three parallel columns
-//! collapse to the same number by construction.
+//! `host_threads` records `available_parallelism`, so baselines from
+//! different machines are comparable — on a single-core host (or under
+//! `taskset -c 0`) `parallel` runs on the calling thread alone and
+//! isolates the allocation-free engine's gain from parallelism.
 
 use oocgemm::{prepare_grid, prepare_grid_serial, OocConfig};
 use sparse::gen::{grid2d_stencil, rmat, RmatConfig};
@@ -69,33 +67,18 @@ pub struct PrepBenchRow {
     /// Chunks in the prepared grid.
     pub chunks: usize,
     /// Threads available on the measuring host
-    /// (`rayon::current_num_threads` in the default pool).
+    /// (`std::thread::available_parallelism`).
     pub host_threads: usize,
     /// `prepare_grid_serial`, ns.
     pub serial_ns: u64,
-    /// Parallel engine on a 1-thread pool, ns.
-    pub parallel_1t_ns: u64,
-    /// Parallel engine on a 2-thread pool, ns.
-    pub parallel_2t_ns: u64,
-    /// Parallel engine on a pool of all host threads, ns.
-    pub parallel_all_ns: u64,
-    /// Thread-scaling curve: `(threads, ns)` for power-of-two pool
-    /// sizes up to (and always including) `host_threads`. Unlike the
-    /// fixed `parallel_2t` column, the curve never oversubscribes —
-    /// on a single-core host it honestly collapses to one point.
-    pub scaling: Vec<(usize, u64)>,
+    /// `prepare_grid`, ns.
+    pub parallel_ns: u64,
 }
 
 impl PrepBenchRow {
-    /// Serial / parallel-all speedup (the headline number).
-    pub fn speedup_all(&self) -> f64 {
-        self.serial_ns as f64 / self.parallel_all_ns.max(1) as f64
-    }
-
-    /// Serial / parallel-1-thread speedup — the allocation-free
-    /// engine's gain with parallelism factored out.
-    pub fn speedup_1t(&self) -> f64 {
-        self.serial_ns as f64 / self.parallel_1t_ns.max(1) as f64
+    /// Serial / parallel speedup.
+    pub fn speedup(&self) -> f64 {
+        self.serial_ns as f64 / self.parallel_ns.max(1) as f64
     }
 }
 
@@ -110,14 +93,6 @@ fn best_of<R>(iters: usize, mut f: impl FnMut() -> R) -> u64 {
     best
 }
 
-fn timed_on_pool(threads: usize, iters: usize, f: impl Fn() + Sync) -> u64 {
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("build thread pool");
-    pool.install(|| best_of(iters, &f))
-}
-
 /// Runs one case end to end.
 pub fn run_case(case: &PrepCase) -> PrepBenchRow {
     let a = &case.matrix;
@@ -127,41 +102,14 @@ pub fn run_case(case: &PrepCase) -> PrepBenchRow {
         .expect("serial grid")
         .prepared
         .len();
-    let host_threads = rayon::current_num_threads();
-
-    let serial_ns = best_of(3, || prepare_grid_serial(a, a, &cfg).unwrap());
-    let parallel = |t: usize| {
-        timed_on_pool(t, 3, || {
-            std::hint::black_box(prepare_grid(a, a, &cfg).unwrap());
-        })
-    };
-    let parallel_1t_ns = parallel(1);
-    let parallel_2t_ns = parallel(2);
-    let parallel_all_ns = parallel(host_threads.max(1));
-
-    // Power-of-two pool sizes up to the real core count, plus the
-    // full count itself; never an oversubscribed point.
-    let mut scaling = Vec::new();
-    let mut t = 1usize;
-    while t <= host_threads.max(1) {
-        scaling.push((t, if t == 1 { parallel_1t_ns } else { parallel(t) }));
-        t *= 2;
-    }
-    if scaling.last().map(|&(t, _)| t) != Some(host_threads.max(1)) {
-        scaling.push((host_threads.max(1), parallel_all_ns));
-    }
-
     PrepBenchRow {
         name: case.name,
         n: a.n_rows(),
         nnz: a.nnz(),
         chunks,
-        host_threads,
-        serial_ns,
-        parallel_1t_ns,
-        parallel_2t_ns,
-        parallel_all_ns,
-        scaling,
+        host_threads: std::thread::available_parallelism().map_or(1, |p| p.get()),
+        serial_ns: best_of(3, || prepare_grid_serial(a, a, &cfg).unwrap()),
+        parallel_ns: best_of(3, || prepare_grid(a, a, &cfg).unwrap()),
     }
 }
 
@@ -173,21 +121,16 @@ pub fn run_all() -> Vec<PrepBenchRow> {
 /// Renders rows as the stdout table.
 pub fn table(rows: &[PrepBenchRow]) -> String {
     let mut out = String::new();
-    out.push_str(
-        "matrix             chunks  serial(ms)  par_1t(ms)  par_2t(ms)  par_all(ms)  \
-         1t-speedup  all-speedup\n",
-    );
+    out.push_str("matrix             chunks  threads  serial(ms)  parallel(ms)  speedup\n");
     for r in rows {
         out.push_str(&format!(
-            "{:<18} {:>6}  {:>10.2}  {:>10.2}  {:>10.2}  {:>11.2}  {:>9.2}x  {:>10.2}x\n",
+            "{:<18} {:>6}  {:>7}  {:>10.2}  {:>12.2}  {:>6.2}x\n",
             r.name,
             r.chunks,
+            r.host_threads,
             r.serial_ns as f64 / 1e6,
-            r.parallel_1t_ns as f64 / 1e6,
-            r.parallel_2t_ns as f64 / 1e6,
-            r.parallel_all_ns as f64 / 1e6,
-            r.speedup_1t(),
-            r.speedup_all(),
+            r.parallel_ns as f64 / 1e6,
+            r.speedup(),
         ));
     }
     out
@@ -199,31 +142,19 @@ pub fn table(rows: &[PrepBenchRow]) -> String {
 pub fn to_json(rows: &[PrepBenchRow]) -> String {
     let mut out = String::from("{\n  \"benchmark\": \"chunk_prep\",\n  \"cases\": [\n");
     for (i, r) in rows.iter().enumerate() {
-        let scaling = r
-            .scaling
-            .iter()
-            .map(|&(t, ns)| format!("{{\"threads\": {t}, \"ns\": {ns}}}"))
-            .collect::<Vec<_>>()
-            .join(", ");
         out.push_str(&format!(
             "    {{\n      \"name\": \"{}\",\n      \"n\": {},\n      \"nnz\": {},\n      \
              \"chunks\": {},\n      \"host_threads\": {},\n      \
-             \"serial_ns\": {},\n      \"parallel_1t_ns\": {},\n      \
-             \"parallel_2t_ns\": {},\n      \"parallel_all_ns\": {},\n      \
-             \"scaling\": [{}],\n      \
-             \"speedup_1t\": {:.3},\n      \"speedup_all\": {:.3}\n    }}{}\n",
+             \"serial_ns\": {},\n      \"parallel_ns\": {},\n      \
+             \"speedup\": {:.3}\n    }}{}\n",
             r.name,
             r.n,
             r.nnz,
             r.chunks,
             r.host_threads,
             r.serial_ns,
-            r.parallel_1t_ns,
-            r.parallel_2t_ns,
-            r.parallel_all_ns,
-            scaling,
-            r.speedup_1t(),
-            r.speedup_all(),
+            r.parallel_ns,
+            r.speedup(),
             if i + 1 < rows.len() { "," } else { "" },
         ));
     }
@@ -244,16 +175,12 @@ mod tests {
             chunks: 16,
             host_threads: 8,
             serial_ns: 3000,
-            parallel_1t_ns: 2000,
-            parallel_2t_ns: 1500,
-            parallel_all_ns: 1000,
-            scaling: vec![(1, 2000), (2, 1500), (4, 1200), (8, 1000)],
+            parallel_ns: 1000,
         }];
         let json = to_json(&rows);
-        assert!(json.contains("\"speedup_all\": 3.000"));
-        assert!(json.contains("\"speedup_1t\": 1.500"));
+        assert!(json.contains("\"speedup\": 3.000"));
         assert!(json.contains("\"host_threads\": 8"));
-        assert!(json.contains("{\"threads\": 4, \"ns\": 1200}"));
+        assert!(json.contains("\"parallel_ns\": 1000"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
@@ -266,13 +193,7 @@ mod tests {
             panels: (2, 2),
         });
         assert_eq!(row.chunks, 4);
-        assert!(row.serial_ns > 0 && row.parallel_all_ns > 0);
-        // The scaling curve starts at one thread and never exceeds
-        // the real core count (no oversubscribed points).
-        assert_eq!(row.scaling.first().map(|&(t, _)| t), Some(1));
-        assert!(row
-            .scaling
-            .iter()
-            .all(|&(t, _)| t <= row.host_threads.max(1)));
+        assert!(row.serial_ns > 0 && row.parallel_ns > 0);
+        assert!(row.host_threads >= 1);
     }
 }

@@ -15,7 +15,7 @@ use crate::table::TextTable;
 use crate::SuiteEntry;
 use gpu_sim::DeviceProps;
 use oocgemm::report::cpu_baseline_ns;
-use oocgemm::{ExecMode, Hybrid, HybridConfig, OocConfig, OutOfCoreGpu};
+use oocgemm::{ExecMode, Hybrid, HybridConfig, OocConfig, OutOfCoreGpu, SchedulerKind};
 use serde::{Deserialize, Serialize};
 
 /// Everything measured for one matrix — the source for Figs 4 and 7–9
@@ -119,7 +119,8 @@ pub fn run_matrix(entry: &SuiteEntry) -> oocgemm::Result<MatrixReport> {
         ..HybridConfig::paper_default()
     };
     let hybrid = Hybrid::new(hybrid_cfg.clone()).multiply(a, a)?;
-    let hybrid_static = Hybrid::new(hybrid_cfg.clone()).multiply_static(a, a)?;
+    let hybrid_static =
+        Hybrid::new(hybrid_cfg.clone().scheduler(SchedulerKind::Static)).multiply(a, a)?;
     let hybrid_default = Hybrid::new(hybrid_cfg.clone().reorder(false)).multiply(a, a)?;
     let search = Hybrid::new(hybrid_cfg).ratio_search(a, a)?;
 

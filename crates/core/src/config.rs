@@ -4,7 +4,6 @@ use crate::faults::HostFaultPlan;
 use crate::recovery::{RecoveryPolicy, RunBudget};
 use accum::estimate::{EstimateConfig, EstimatorKind};
 use gpu_sim::{CostModel, DeviceProps, FaultPlan};
-use sparse::partition::ColPartitioner;
 
 /// Synchronous vs asynchronous out-of-core execution (Section IV).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -50,21 +49,12 @@ pub struct OocConfig {
     pub reorder_chunks: bool,
     /// First-portion row fraction of the Figure 6 output split.
     pub split_fraction: f64,
-    /// Column partitioner implementation.
-    pub col_partitioner: ColPartitioner,
     /// Use pinned host buffers for transfers.
     pub pinned: bool,
     /// Number of streams/buffer epochs in the async pipeline. The
     /// paper uses 2 (double buffering); deeper pipelines trade device
     /// memory for slack in hiding host-side gaps.
     pub pipeline_depth: usize,
-    /// Cap on how many chunks the parallel grid preparation
-    /// materializes concurrently (`None` = the whole grid at once).
-    /// Each in-flight chunk holds its full output in host memory while
-    /// it is prepared, so huge grids on small hosts may want a bound;
-    /// the cap never changes results, only peak memory and overlap.
-    /// Must be positive when set.
-    pub prepare_parallelism: Option<usize>,
     /// Deterministic fault schedule. `Some` routes the run through the
     /// self-healing pipeline (retries, re-splits, CPU demotion); the
     /// assembled output stays bit-identical to the fault-free run.
@@ -113,10 +103,8 @@ impl OocConfig {
             panels: None,
             reorder_chunks: true,
             split_fraction: DEFAULT_SPLIT_FRACTION,
-            col_partitioner: ColPartitioner::ParallelPrefixSum,
             pinned: true,
             pipeline_depth: 2,
-            prepare_parallelism: None,
             fault_plan: None,
             recovery: RecoveryPolicy::default(),
             estimator: EstimateConfig::default(),
@@ -140,12 +128,6 @@ impl OocConfig {
     /// Enables/disables flop-descending chunk reordering.
     pub fn reorder(mut self, on: bool) -> Self {
         self.reorder_chunks = on;
-        self
-    }
-
-    /// Caps how many chunks grid preparation materializes at once.
-    pub fn prepare_parallelism(mut self, cap: usize) -> Self {
-        self.prepare_parallelism = Some(cap);
         self
     }
 
@@ -229,11 +211,6 @@ impl OocConfig {
         if self.pipeline_depth < 2 {
             return Err(crate::OocError::Config(
                 "the async pipeline needs at least 2 buffer epochs".into(),
-            ));
-        }
-        if self.prepare_parallelism == Some(0) {
-            return Err(crate::OocError::Config(
-                "prepare_parallelism must be positive".into(),
             ));
         }
         if !(self.estimator.sample_rate > 0.0 && self.estimator.sample_rate <= 1.0) {
@@ -424,8 +401,6 @@ mod tests {
         assert!(c.validate().is_err());
         let c = OocConfig::paper_default().panels(0, 3);
         assert!(c.validate().is_err());
-        let c = OocConfig::paper_default().prepare_parallelism(0);
-        assert!(c.validate().is_err());
         let c = OocConfig::paper_default().sample_rate(0.0);
         assert!(c.validate().is_err());
         let c = OocConfig::paper_default().sample_rate(1.5);
@@ -437,10 +412,6 @@ mod tests {
         // Sub-1 headroom is legal at the library level: it forces the
         // overflow-recovery path.
         assert!(OocConfig::paper_default().headroom(0.5).validate().is_ok());
-        assert!(OocConfig::paper_default()
-            .prepare_parallelism(1)
-            .validate()
-            .is_ok());
         let h = HybridConfig::paper_default().ratio(-0.1);
         assert!(h.validate().is_err());
     }

@@ -10,15 +10,17 @@ use crate::metrics::{
 use crate::pipeline::{ChunkFailure, Footprint, PipelineSession};
 use crate::plan::{split_range_by_flops, PanelPlan, Planner};
 use crate::recovery::{backoff_ns, RecoveryReport};
-use crate::Result;
+use crate::{OocError, Result};
 use accum::estimate::{EstModel, EstimatorKind};
 use gpu_sim::{GpuSim, SimTime, Timeline};
 use gpu_spgemm::{phases, ChunkJob, PreparedChunk};
-use rayon::prelude::*;
-use sparse::partition::ColPanel;
+use sparse::partition::{ColPanel, ColPartitioner};
 use sparse::{CsrMatrix, CsrView};
 use std::collections::HashMap;
 use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// All chunks of a plan, prepared (real results + descriptors), in
 /// row-major grid order. Shared by the GPU-only and hybrid executors.
@@ -86,7 +88,7 @@ impl PreparedGrid {
     }
 }
 
-type PlannedGrid = (
+pub(crate) type PlannedGrid = (
     PanelPlan,
     ChunkGrid,
     Vec<ColPanel>,
@@ -95,7 +97,8 @@ type PlannedGrid = (
 );
 
 /// The planning prologue shared by the parallel and serial grid
-/// preparation: validate, plan panels, partition B, and size the grid.
+/// preparation and by spill resume: validate, plan panels, partition
+/// B, and size the grid.
 ///
 /// With a non-exact estimator and async mode, the panel plan is sized
 /// from the sampled nnz(C) model ([`Planner::estimated`]) — the exact
@@ -103,7 +106,7 @@ type PlannedGrid = (
 /// drives speculative execution. Sync mode always plans exactly: its
 /// schedule has no overlap to win back, so speculation would only risk
 /// overflows.
-fn plan_grid(a: &CsrMatrix, b: &CsrMatrix, config: &OocConfig) -> Result<PlannedGrid> {
+pub(crate) fn plan_grid(a: &CsrMatrix, b: &CsrMatrix, config: &OocConfig) -> Result<PlannedGrid> {
     config.validate()?;
     let speculative =
         config.mode == ExecMode::Async && config.estimator.kind != EstimatorKind::Exact;
@@ -118,7 +121,7 @@ fn plan_grid(a: &CsrMatrix, b: &CsrMatrix, config: &OocConfig) -> Result<Planned
     };
     let row_flops_prefix = planner.row_flops_prefix().to_vec();
     let est_model = planner.est_model().copied();
-    let col_panels = config.col_partitioner.partition(b, &plan.col_ranges);
+    let col_panels = ColPartitioner::ParallelPrefixSum.partition(b, &plan.col_ranges);
     let grid = ChunkGrid::compute(a, &plan, &col_panels);
     Ok((plan, grid, col_panels, row_flops_prefix, est_model))
 }
@@ -129,7 +132,7 @@ fn plan_grid(a: &CsrMatrix, b: &CsrMatrix, config: &OocConfig) -> Result<Planned
 /// field-identical (the `prepare_equivalence` suite covers `spec`
 /// too). The chunks' exact results are untouched — speculation only
 /// changes how the simulation sizes and schedules them.
-pub(crate) fn attach_speculation_all(
+fn attach_speculation_all(
     a: &CsrMatrix,
     plan: &PanelPlan,
     col_panels: &[ColPanel],
@@ -146,19 +149,17 @@ pub(crate) fn attach_speculation_all(
 
 /// Plans, partitions and prepares every chunk of `C = a · b`.
 ///
-/// Chunk preparation — the host-side hot path — runs in parallel over
-/// the whole grid: every chunk is a pure function of its A row panel
-/// and B column panel, so each rayon worker writes its finished
-/// [`PreparedChunk`] into a pre-sized slot and the assembled vector is
-/// bit-identical to [`prepare_grid_serial`]'s, in the same row-major
-/// order (the `prepare_equivalence` suite asserts this field by
+/// Chunk preparation — the host-side hot path — runs on the calling
+/// thread plus up to `available_parallelism − 1` scoped workers, all
+/// draining one atomic cursor over the row-major grid. Every chunk is
+/// a pure function of its A row panel and B column panel, so each
+/// worker writes its finished [`PreparedChunk`] into a pre-sized slot
+/// and the assembled vector is bit-identical to
+/// [`prepare_grid_serial`]'s, in the same row-major order, on any core
+/// count (the `prepare_equivalence` suite asserts this field by
 /// field). Workers share one [`accum::ScratchPool`], and chunks whose
 /// B panel spans all of B reuse the planner's cached flop prefix
 /// instead of re-running row analysis.
-///
-/// [`OocConfig::prepare_parallelism`] caps how many chunks
-/// materialize concurrently (wave by wave), bounding peak host memory
-/// on huge grids.
 pub fn prepare_grid(a: &CsrMatrix, b: &CsrMatrix, config: &OocConfig) -> Result<PreparedGrid> {
     prepare_grid_pooled(a, b, config, &accum::ScratchPool::new())
 }
@@ -174,57 +175,131 @@ pub fn prepare_grid_pooled(
     config: &OocConfig,
     pool: &accum::ScratchPool,
 ) -> Result<PreparedGrid> {
+    prepare_grid_workers(a, b, config, pool, None).map(|(pg, _)| pg)
+}
+
+/// Extracts a readable message from a captured panic payload.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "opaque panic payload".to_string()
+    }
+}
+
+/// The chunk-preparation engine behind [`prepare_grid_pooled`] and the
+/// hybrid executor. Worker 0 is the calling thread — the hybrid's GPU
+/// host thread — and the rest are scoped CPU workers; there are
+/// `min(available_parallelism, chunks)` in all.
+///
+/// Each worker runs under `catch_unwind`. Once all are joined, the
+/// calling thread re-prepares whatever a panicked worker claimed but
+/// did not finish, and the indices of the panicked workers are
+/// returned in ascending order; with
+/// [`crate::RecoveryPolicy::drain_worker_panics`] off, the first panic
+/// is an [`OocError::Worker`] instead. `panic_after` arms worker 0 to
+/// panic after preparing that many chunks
+/// ([`gpu_sim::FaultPlan::worker_panic_after`]).
+pub(crate) fn prepare_grid_workers(
+    a: &CsrMatrix,
+    b: &CsrMatrix,
+    config: &OocConfig,
+    pool: &accum::ScratchPool,
+    panic_after: Option<u64>,
+) -> Result<(PreparedGrid, Vec<usize>)> {
     let (plan, grid, col_panels, row_flops_prefix, est_model) = plan_grid(a, b, config)?;
     let k_c = plan.col_panels();
     let n = plan.num_chunks();
-    let mut slots: Vec<Option<PreparedChunk>> = Vec::with_capacity(n);
-    slots.resize_with(n, || None);
-    let cap = config.prepare_parallelism.unwrap_or(n).max(1);
-    let mut start = 0usize;
-    while start < n {
-        let end = (start + cap).min(n);
-        let base = start;
-        slots[start..end]
-            .par_iter_mut()
-            .enumerate()
-            .for_each(|(i, slot)| {
-                let idx = base + i;
-                let range = &plan.row_ranges[idx / k_c];
-                // With a single column panel, the panel's per-row flops
-                // equal the planner's global ones, so the cached prefix
-                // replaces the chunk's row analysis.
-                let prefix = if k_c == 1 {
-                    Some(&row_flops_prefix[range.start..=range.end])
-                } else {
-                    None
-                };
-                *slot = Some(phases::prepare_chunk_with(
-                    ChunkJob {
-                        a_panel: CsrView::rows(a, range.start, range.end),
-                        b_panel: &col_panels[idx % k_c].matrix,
-                        chunk_id: idx,
+    let prepare = |idx: usize| {
+        let range = &plan.row_ranges[idx / k_c];
+        // With a single column panel, the panel's per-row flops equal
+        // the planner's global ones, so the cached prefix replaces the
+        // chunk's row analysis.
+        let prefix = (k_c == 1).then(|| &row_flops_prefix[range.start..=range.end]);
+        phases::prepare_chunk_with(
+            ChunkJob {
+                a_panel: CsrView::rows(a, range.start, range.end),
+                b_panel: &col_panels[idx % k_c].matrix,
+                chunk_id: idx,
+            },
+            pool,
+            prefix,
+        )
+    };
+    let slots: Vec<OnceLock<PreparedChunk>> = (0..n).map(|_| OnceLock::new()).collect();
+    let cursor = AtomicUsize::new(0);
+    let work = |w: usize| {
+        catch_unwind(AssertUnwindSafe(|| {
+            let mut done = 0u64;
+            loop {
+                if w == 0 && panic_after == Some(done) {
+                    panic!("injected gpu worker fault after {done} prepared chunks");
+                }
+                let idx = cursor.fetch_add(1, Ordering::Relaxed);
+                if idx >= n {
+                    break;
+                }
+                // The cursor hands out every index once, so no slot is
+                // ever set twice.
+                let _ = slots[idx].set(prepare(idx));
+                done += 1;
+            }
+        }))
+    };
+    let workers = std::thread::available_parallelism()
+        .map_or(1, |p| p.get())
+        .min(n)
+        .max(1);
+    let outcomes = crossbeam::thread::scope(|s| {
+        let work = &work;
+        let helpers: Vec<_> = (1..workers).map(|w| s.spawn(move |_| work(w))).collect();
+        let mut outcomes = vec![work(0)];
+        outcomes.extend(
+            helpers
+                .into_iter()
+                .map(|h| h.join().and_then(|caught| caught)),
+        );
+        outcomes
+    })
+    .map_err(|payload| OocError::Worker {
+        worker: "prepare scope".to_string(),
+        message: panic_message(payload.as_ref()),
+    })?;
+    let mut dead = Vec::new();
+    for (w, outcome) in outcomes.into_iter().enumerate() {
+        if let Err(payload) = outcome {
+            if !config.recovery.drain_worker_panics {
+                return Err(OocError::Worker {
+                    worker: if w == 0 {
+                        "gpu".to_string()
+                    } else {
+                        format!("cpu {w}")
                     },
-                    pool,
-                    prefix,
-                ));
-            });
-        start = end;
+                    message: panic_message(payload.as_ref()),
+                });
+            }
+            dead.push(w);
+        }
     }
     let mut prepared: Vec<PreparedChunk> = slots
         .into_iter()
-        .map(|s| s.expect("every chunk prepared"))
+        .enumerate()
+        .map(|(idx, slot)| slot.into_inner().unwrap_or_else(|| prepare(idx)))
         .collect();
     if let Some(model) = &est_model {
         attach_speculation_all(a, &plan, &col_panels, &mut prepared, model);
     }
-    Ok(PreparedGrid {
+    let pg = PreparedGrid {
         plan,
         grid,
         prepared,
         col_panels,
         row_flops_prefix,
         est_model,
-    })
+    };
+    Ok((pg, dead))
 }
 
 /// [`prepare_grid`] with the original serial chunk loop and the

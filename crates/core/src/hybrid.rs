@@ -4,7 +4,8 @@
 //! ordered by decreasing flops. Under the default work-stealing
 //! scheduler (the `scheduler` module) the GPU worker claims chunks from
 //! the dense head of a shared two-ended queue while the CPU worker
-//! steals from the sparse tail; under [`SchedulerKind::Static`] the
+//! steals from the sparse tail; under
+//! [`SchedulerKind::Static`](crate::SchedulerKind::Static) the
 //! smallest prefix holding at least `Ratio = S/(S+1)` of the total
 //! flops (65 % by default) goes to the GPU one-shot, exactly as the
 //! paper prescribes. Either way the GPU worker is the simulated
@@ -14,10 +15,9 @@
 
 use crate::assemble::assemble;
 use crate::chunks::{ChunkGrid, ChunkId, ChunkInfo};
-use crate::config::{ExecMode, HybridConfig, OocConfig, SchedulerKind};
-use crate::error::OocError;
+use crate::config::{HybridConfig, OocConfig};
 use crate::executor::{
-    attach_speculation_all, estimator_stats, prepare_grid, run_device, PreparedGrid,
+    estimator_stats, prepare_grid, prepare_grid_workers, run_device, PreparedGrid,
 };
 use crate::faults::{self, HostFaultState};
 use crate::metrics::{Metrics, SchedulerStats};
@@ -51,17 +51,6 @@ pub(crate) fn cpu_worker_ns(
             chunk_ns + recovery.retry_cpu_chunk(host.as_mut(), &config.cost, chunk_ns, |_| {})
         })
         .sum()
-}
-
-/// Extracts a readable message from a captured panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
-    }
 }
 
 /// A completed hybrid run.
@@ -189,19 +178,6 @@ impl Hybrid {
         &self.config
     }
 
-    /// CPU-side completion time for a chunk set: the CPU worker
-    /// processes its chunks one after another, each with all cores
-    /// (Algorithm 4 line 26), priced by the calibrated CPU model.
-    fn cpu_time(&self, pg: &PreparedGrid, chunks: &[ChunkInfo]) -> SimTime {
-        chunks
-            .iter()
-            .map(|info| {
-                let p = pg.chunk(info.id);
-                self.config.gpu.cost.cpu_chunk_duration(p.flops, p.nnz)
-            })
-            .sum()
-    }
-
     fn ordered_chunks(&self, pg: &PreparedGrid) -> Vec<ChunkInfo> {
         if self.config.reorder_assignment {
             pg.grid.sorted_desc()
@@ -212,8 +188,8 @@ impl Hybrid {
 
     /// The shared back half of every hybrid entry point: schedule the
     /// prepared chunks, run both simulated workers, assemble, and
-    /// account. `gpu_dead` models a GPU worker lost before the pipeline
-    /// ran (threaded drain path): every chunk the scheduler gave the
+    /// account. `gpu_dead` models a GPU host thread lost during chunk
+    /// preparation (the drain path): every chunk the scheduler gave the
     /// GPU is demoted and recomputed on the CPU clock.
     fn run_prepared(
         &self,
@@ -250,8 +226,9 @@ impl Hybrid {
         let mut cpu_ns = cpu_worker_ns(&self.config.gpu, pg, &assignment.cpu, &mut recovery);
         if gpu_dead {
             // Already-prepared host results are kept; the CPU clock
-            // pays for recomputing every orphaned GPU chunk.
-            cpu_ns += self.cpu_time(pg, &assignment.gpu);
+            // pays, fault-free, for recomputing every orphaned GPU chunk.
+            let clean = self.config.gpu.without_faults();
+            cpu_ns += cpu_worker_ns(&clean, pg, &assignment.gpu, &mut recovery);
             recovery.demotions += assignment.gpu.len() as u64;
         }
 
@@ -302,17 +279,35 @@ impl Hybrid {
 
     /// Computes `C = a · b` on both devices.
     ///
+    /// Chunk preparation runs Algorithm 4's "Parallel GPU thread ...
+    /// Parallel CPU thread" for real: the calling thread is the GPU
+    /// host thread and the remaining host cores are CPU workers, all
+    /// draining one chunk cursor ([`prepare_grid`]'s engine). The
+    /// scheduling and both simulated clocks then run deterministically,
+    /// so the run is bit-identical on any core count, even under an
+    /// active fault plan.
+    ///
+    /// A panicking GPU host thread (armed by
+    /// [`gpu_sim::FaultPlan::worker_panic_after`]) is drained: its
+    /// pipeline never runs and its whole share is demoted to the CPU
+    /// clock, or the run fails with [`crate::OocError::Worker`] when
+    /// [`crate::RecoveryPolicy::drain_worker_panics`] is off.
+    ///
     /// The configured estimator is honored the same way the standalone
     /// GPU executor honors it: a non-exact estimator sizes the GPU
     /// side's device allocations speculatively (with overflow
     /// recovery), while the hybrid *distribution* still reasons from
-    /// exact per-chunk flops and sizes. (Earlier versions silently
-    /// forced the exact planner here, dropping `--estimator` on the
-    /// floor for `--executor hybrid`.)
+    /// exact per-chunk flops and sizes.
     pub fn multiply(&self, a: &CsrMatrix, b: &CsrMatrix) -> Result<HybridRun> {
         self.config.validate()?;
-        let pg = prepare_grid(a, b, &self.config.gpu)?;
-        self.run_prepared(a, &pg, false, RecoveryReport::default())
+        let cfg = &self.config.gpu;
+        let panic_after = cfg.fault_plan.as_ref().and_then(|p| p.worker_panic_after);
+        let (pg, dead) = prepare_grid_workers(a, b, cfg, &accum::ScratchPool::new(), panic_after)?;
+        let recovery = RecoveryReport {
+            worker_panics: dead.len() as u64,
+            ..RecoveryReport::default()
+        };
+        self.run_prepared(a, &pg, dead.contains(&0), recovery)
     }
 
     /// [`Hybrid::multiply`] against a caller-prepared (possibly cached
@@ -337,167 +332,10 @@ impl Hybrid {
             .estimator(accum::estimate::EstimateConfig::exact())
     }
 
-    /// [`Hybrid::multiply`] forced through the paper's one-shot static
-    /// split, regardless of the configured scheduler — the bit-exact
-    /// Algorithm 4 baseline the work-stealing scheduler is compared
-    /// against (Table III, static vs dynamic).
-    pub fn multiply_static(&self, a: &CsrMatrix, b: &CsrMatrix) -> Result<HybridRun> {
-        let config = self.config.clone().scheduler(SchedulerKind::Static);
-        Hybrid::new(config).multiply(a, b)
-    }
-
-    /// [`Hybrid::multiply`] with *real* two-thread concurrency —
-    /// Algorithm 4's "Parallel GPU thread ... Parallel CPU thread":
-    /// both workers race a shared atomic cursor over the row-major
-    /// chunk grid and prepare chunks concurrently (the host-side heavy
-    /// lifting), then the scheduling and both simulated clocks run on
-    /// the deterministic path shared with [`Hybrid::multiply`].
-    ///
-    /// Produces the same [`HybridRun`] as [`Hybrid::multiply`] in
-    /// every field — claim decisions never depend on which OS thread
-    /// prepared a chunk, and simulated clocks are deterministic — so
-    /// threaded and sequential runs are bit-identical even under an
-    /// active fault plan. The difference is host wall-clock only.
+    /// Alias of [`Hybrid::multiply`], which already runs the GPU and
+    /// CPU workers on real threads.
     pub fn multiply_threaded(&self, a: &CsrMatrix, b: &CsrMatrix) -> Result<HybridRun> {
-        use crate::plan::Planner;
-        use gpu_spgemm::{phases, ChunkJob, PreparedChunk};
-        use sparse::CsrView;
-        use std::panic::{catch_unwind, AssertUnwindSafe};
-        use std::sync::atomic::{AtomicUsize, Ordering};
-
-        self.config.validate()?;
-        let cfg = &self.config.gpu;
-        // Plan exactly like `plan_grid`: a non-exact estimator under
-        // async mode sizes the grid speculatively, so the threaded and
-        // sequential paths stay field-identical under any estimator.
-        let speculative = cfg.mode == ExecMode::Async
-            && cfg.estimator.kind != accum::estimate::EstimatorKind::Exact;
-        let planner = if speculative {
-            Planner::estimated(a, b, &cfg.estimator)?
-        } else {
-            Planner::new(a, b)?
-        };
-        let plan = match cfg.panels {
-            Some((r, c)) => planner.fixed(r, c)?,
-            None => planner.auto(cfg.device.device_memory_bytes)?,
-        };
-        let est_model = planner.est_model().copied();
-        let row_flops_prefix = planner.row_flops_prefix().to_vec();
-        let col_panels = cfg.col_partitioner.partition(b, &plan.col_ranges);
-        let grid = ChunkGrid::compute(a, &plan, &col_panels);
-        let k_c = plan.col_panels();
-        let n = plan.num_chunks();
-
-        // One scratch pool shared by both workers (it is Sync; leases
-        // serialize only on the pop/push). Chunk results are pure
-        // functions of the index, so pooled reuse cannot affect them.
-        let scratch = accum::ScratchPool::new();
-        let prepare = |idx: usize| -> PreparedChunk {
-            let range = &plan.row_ranges[idx / k_c];
-            phases::prepare_chunk_with(
-                ChunkJob {
-                    a_panel: CsrView::rows(a, range.start, range.end),
-                    b_panel: &col_panels[idx % k_c].matrix,
-                    chunk_id: idx,
-                },
-                &scratch,
-                None,
-            )
-        };
-
-        // Both workers drain one shared cursor; chunk content is a pure
-        // function of the index, so the interleaving cannot affect the
-        // result. The GPU worker honors the injected-panic test hook.
-        let cursor = AtomicUsize::new(0);
-        let worker = |inject: bool| -> Vec<(usize, PreparedChunk)> {
-            let mut out = Vec::new();
-            loop {
-                if inject {
-                    if let Some(plan) = &cfg.fault_plan {
-                        if plan.worker_panic_after == Some(out.len() as u64) {
-                            panic!(
-                                "injected gpu worker fault after {} prepared chunks",
-                                out.len()
-                            );
-                        }
-                    }
-                }
-                let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                if idx >= n {
-                    break;
-                }
-                out.push((idx, prepare(idx)));
-            }
-            out
-        };
-
-        // Each worker body runs under `catch_unwind` and is joined
-        // explicitly, so a panic surfaces here as an `Err` payload
-        // instead of unwinding through the scope; the payload becomes a
-        // structured `OocError::Worker` or, when draining is enabled,
-        // the main thread redoes the lost work.
-        let (gpu_join, cpu_join) = crossbeam::thread::scope(|s| {
-            let gpu_worker = s.spawn(|_| catch_unwind(AssertUnwindSafe(|| worker(true))));
-            let cpu_worker = s.spawn(|_| catch_unwind(AssertUnwindSafe(|| worker(false))));
-            (gpu_worker.join(), cpu_worker.join())
-        })
-        .map_err(|payload| OocError::Worker {
-            worker: "hybrid scope".to_string(),
-            message: panic_message(payload.as_ref()),
-        })?;
-        // Collapse "panicked before catch" (real threads) and "panic
-        // caught in the worker body" into one payload per worker.
-        let gpu_join = gpu_join.and_then(|caught| caught);
-        let cpu_join = cpu_join.and_then(|caught| caught);
-
-        let mut recovery = RecoveryReport::default();
-        let policy = cfg.recovery;
-        let mut gpu_dead = false;
-        let mut slots: Vec<Option<PreparedChunk>> = (0..n).map(|_| None).collect();
-        for (join, name) in [(gpu_join, "gpu"), (cpu_join, "cpu")] {
-            match join {
-                Ok(prepared) => {
-                    for (idx, p) in prepared {
-                        slots[idx] = Some(p);
-                    }
-                }
-                Err(payload) => {
-                    let message = panic_message(payload.as_ref());
-                    if !policy.drain_worker_panics {
-                        return Err(OocError::Worker {
-                            worker: name.to_string(),
-                            message,
-                        });
-                    }
-                    recovery.worker_panics += 1;
-                    if name == "gpu" {
-                        // The GPU worker is gone; its pipeline never
-                        // runs and run_prepared demotes its share.
-                        gpu_dead = true;
-                    }
-                }
-            }
-        }
-        // The surviving (main) thread re-prepares whatever the dead
-        // worker dropped, so the run still completes.
-        let mut prepared: Vec<PreparedChunk> = slots
-            .into_iter()
-            .enumerate()
-            .map(|(idx, slot)| slot.unwrap_or_else(|| prepare(idx)))
-            .collect();
-        if let Some(model) = &est_model {
-            attach_speculation_all(a, &plan, &col_panels, &mut prepared, model);
-        }
-
-        let pg = PreparedGrid {
-            plan,
-            grid,
-            prepared,
-            col_panels,
-            row_flops_prefix,
-            est_model,
-        };
-        self.run_prepared(a, &pg, gpu_dead, recovery)
+        self.multiply(a, b)
     }
 
     /// Exhaustively evaluates every GPU chunk count (Table III:
@@ -516,7 +354,12 @@ impl Hybrid {
         for g in 0..=order.len() {
             let gpu_order = ChunkGrid::grouped_desc(&order[..g]);
             let gpu_ns = run_device(a, &pg, &gpu_order, &gpu_config)?.sim_ns;
-            let cpu_ns = self.cpu_time(&pg, &order[g..]);
+            let cpu_ns = cpu_worker_ns(
+                &gpu_config,
+                &pg,
+                &order[g..],
+                &mut RecoveryReport::default(),
+            );
             per_g.push((g, gpu_ns.max(cpu_ns)));
         }
         let &(best_g, best_ns) = per_g
@@ -537,7 +380,7 @@ impl Hybrid {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::OocConfig;
+    use crate::config::{OocConfig, SchedulerKind};
     use crate::executor::OutOfCoreGpu;
     use cpu_spgemm::reference;
     use sparse::gen::erdos_renyi;
@@ -584,7 +427,9 @@ mod tests {
         let a = fixture();
         let h = Hybrid::new(config());
         let dynamic = h.multiply(&a, &a).unwrap();
-        let static_ = h.multiply_static(&a, &a).unwrap();
+        let static_ = Hybrid::new(config().scheduler(SchedulerKind::Static))
+            .multiply(&a, &a)
+            .unwrap();
         assert!(
             dynamic.c.approx_eq(&static_.c, 0.0),
             "schedulers must agree bit-for-bit"
@@ -714,28 +559,10 @@ mod tests {
     }
 
     #[test]
-    fn threaded_hybrid_matches_sequential_hybrid() {
-        let a = fixture();
-        let seq = Hybrid::new(config()).multiply(&a, &a).unwrap();
-        let thr = Hybrid::new(config()).multiply_threaded(&a, &a).unwrap();
-        assert_eq!(thr.sim_ns, seq.sim_ns, "simulated clocks must agree");
-        assert_eq!(thr.gpu_ns, seq.gpu_ns);
-        assert_eq!(thr.cpu_ns, seq.cpu_ns);
-        assert_eq!(thr.num_gpu_chunks, seq.num_gpu_chunks);
-        assert_eq!(thr.scheduler, seq.scheduler, "claim accounting must agree");
-        assert!(
-            thr.c.approx_eq(&seq.c, 0.0),
-            "results must be bit-identical"
-        );
-    }
-
-    #[test]
     fn threaded_hybrid_extreme_ratios() {
         let a = fixture();
         for ratio in [0.0, 1.0] {
-            let run = Hybrid::new(config().ratio(ratio))
-                .multiply_threaded(&a, &a)
-                .unwrap();
+            let run = Hybrid::new(config().ratio(ratio)).multiply(&a, &a).unwrap();
             let expect = reference::multiply(&a, &a).unwrap();
             assert!(run.c.approx_eq(&expect, 1e-9));
         }

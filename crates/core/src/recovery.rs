@@ -26,8 +26,10 @@ pub struct RecoveryPolicy {
     /// Demote irrecoverable chunks to the CPU executor instead of
     /// failing the run.
     pub demote_to_cpu: bool,
-    /// Drain a panicked hybrid worker's chunks on the surviving side
-    /// instead of surfacing [`crate::OocError::Worker`].
+    /// Drain a panicked chunk-preparation worker — re-prepare what it
+    /// dropped on the calling thread and, in the hybrid, demote a dead
+    /// GPU host thread's share to the CPU — instead of surfacing
+    /// [`crate::OocError::Worker`].
     pub drain_worker_panics: bool,
 }
 

@@ -38,9 +38,9 @@
 use crate::assemble::assemble;
 use crate::chunks::ChunkId;
 use crate::config::OocConfig;
-use crate::executor::{prepare_grid, run_device};
+use crate::executor::{plan_grid, prepare_grid, run_device};
 use crate::faults::{self, HostFaultKind, HostFaultState};
-use crate::plan::{PanelPlan, Planner};
+use crate::plan::PanelPlan;
 use crate::recovery::RecoveryReport;
 use crate::{OocError, Result};
 use gpu_sim::SimTime;
@@ -445,11 +445,7 @@ impl SpilledMatrix {
         config.validate()?;
         let _lock = SpillLock::acquire(dir)?;
         let mut spilled = Self::open(dir)?;
-        let planner = Planner::new(a, b)?;
-        let plan = match config.panels {
-            Some((r, c)) => planner.fixed(r, c)?,
-            None => planner.auto(config.device.device_memory_bytes)?,
-        };
+        let (plan, _, col_panels, row_flops_prefix, _) = plan_grid(a, b, &spill_config(config))?;
         let mut bounds: Vec<usize> = plan.row_ranges.iter().map(|r| r.start).collect();
         bounds.push(plan.row_ranges.last().map_or(0, |r| r.end));
         if bounds != spilled.row_bounds || b.n_cols() != spilled.n_cols {
@@ -474,7 +470,6 @@ impl SpilledMatrix {
         }
         let needed = spilled.missing_or_corrupt();
         if !needed.is_empty() {
-            let col_panels = config.col_partitioner.partition(b, &plan.col_ranges);
             let k_c = plan.col_panels();
             for &r in &needed {
                 let range = &plan.row_ranges[r];
@@ -501,7 +496,7 @@ impl SpilledMatrix {
                 spilled.store_panel(r, &panel)?;
             }
         }
-        let flops = planner.row_flops_prefix().last().copied().unwrap_or(0);
+        let flops = row_flops_prefix.last().copied().unwrap_or(0);
         Ok(SpilledRun {
             c: spilled,
             sim_ns: 0,
@@ -535,6 +530,17 @@ pub struct SpilledRun {
     pub recovery: RecoveryReport,
 }
 
+/// The configuration both spill entry points plan and prepare under.
+/// The spill path sizes disk segments from exact chunk outputs, so it
+/// always plans exactly regardless of the configured estimator. Its
+/// device schedule is simulated fault-free: the configured host faults
+/// act on the spill I/O, not on the device.
+fn spill_config(config: &OocConfig) -> OocConfig {
+    config
+        .without_faults()
+        .estimator(accum::estimate::EstimateConfig::exact())
+}
+
 /// Computes `C = a · b` out-of-core and spills the result to `dir`,
 /// one shard per row panel. Peak host memory for the output is one
 /// row panel plus one chunk. The manifest is rewritten after every
@@ -550,13 +556,7 @@ pub fn multiply_to_disk(
     std::fs::create_dir_all(dir)
         .map_err(|e| OocError::Config(format!("cannot create {}: {e}", dir.display())))?;
     let _lock = SpillLock::acquire(dir)?;
-    // The spill path sizes disk segments from exact chunk outputs, so
-    // it always plans exactly regardless of the configured estimator.
-    // Its device schedule is simulated fault-free: the configured host
-    // faults act on the spill I/O below, not on the device.
-    let exact_cfg = config
-        .without_faults()
-        .estimator(accum::estimate::EstimateConfig::exact());
+    let exact_cfg = spill_config(config);
     let pg = prepare_grid(a, b, &exact_cfg)?;
     let order = match (config.mode, config.reorder_chunks) {
         (crate::ExecMode::Async, true) => crate::ChunkGrid::grouped_desc(&pg.grid.sorted_desc()),

@@ -91,7 +91,7 @@ fn hybrid_survives_gpu_worker_panic() {
         gpu: base_config(),
         ..HybridConfig::paper_default()
     };
-    let clean = Hybrid::new(cfg.clone()).multiply_threaded(&a, &a).unwrap();
+    let clean = Hybrid::new(cfg.clone()).multiply(&a, &a).unwrap();
     assert!(clean.num_gpu_chunks > 0);
 
     // The GPU worker dies before preparing its first chunk; the CPU
@@ -100,7 +100,7 @@ fn hybrid_survives_gpu_worker_panic() {
         gpu: base_config().fault_plan(FaultPlan::seeded(0).worker_panic_after(0)),
         ..HybridConfig::paper_default()
     };
-    let run = Hybrid::new(cfg_panic).multiply_threaded(&a, &a).unwrap();
+    let run = Hybrid::new(cfg_panic).multiply(&a, &a).unwrap();
     assert_eq!(run.c, clean.c, "drained run must be bit-identical");
     assert_eq!(run.recovery.worker_panics, 1);
     assert_eq!(run.recovery.demotions as usize, clean.num_gpu_chunks);
@@ -117,7 +117,7 @@ fn hybrid_worker_panic_is_an_error_when_drain_disabled() {
             .recovery(RecoveryPolicy::default().drain_worker_panics(false)),
         ..HybridConfig::paper_default()
     };
-    match Hybrid::new(cfg).multiply_threaded(&a, &a) {
+    match Hybrid::new(cfg).multiply(&a, &a) {
         Err(OocError::Worker { worker, message }) => {
             assert_eq!(worker, "gpu");
             assert!(
@@ -142,19 +142,21 @@ fn hybrid_with_faults_matches_fault_free() {
         gpu: base_config().fault_plan(FaultPlan::seeded(31).all_rates(0.25)),
         ..HybridConfig::paper_default()
     };
-    let seq = Hybrid::new(cfg_faulty.clone()).multiply(&a, &a).unwrap();
-    assert_eq!(seq.c, clean.c);
-    assert!(seq.recovery.faults() > 0);
+    let first = Hybrid::new(cfg_faulty.clone()).multiply(&a, &a).unwrap();
+    assert_eq!(first.c, clean.c);
+    assert!(first.recovery.faults() > 0);
 
-    let threaded = Hybrid::new(cfg_faulty).multiply_threaded(&a, &a).unwrap();
-    assert_eq!(threaded.c, clean.c);
-    assert!(threaded.recovery.faults() > 0);
+    // A repeat run prepares its chunks on differently interleaved
+    // threads; the faulted schedule must not notice.
+    let again = Hybrid::new(cfg_faulty).multiply(&a, &a).unwrap();
+    assert_eq!(again.c, clean.c);
+    assert!(again.recovery.faults() > 0);
     assert_eq!(
-        threaded.scheduler, seq.scheduler,
+        again.scheduler, first.scheduler,
         "claim decisions must not see faults or threads"
     );
-    assert_eq!(threaded.sim_ns, seq.sim_ns);
-    assert_eq!(threaded.recovery, seq.recovery);
+    assert_eq!(again.sim_ns, first.sim_ns);
+    assert_eq!(again.recovery, first.recovery);
 }
 
 #[test]
